@@ -109,14 +109,7 @@ let test_histogram =
         let rng = Prng.create 7 in
         fun () -> Adp_stats.Histogram.add h (vi (Prng.int rng 100000))))
 
-(* Substrate kernels. *)
-let test_btree =
-  Test.make ~name:"substrate: B+ tree insert"
-    (Staged.stage
-       (let b = Btree.create (keyed "t") ~key_cols:[ "t.k" ] in
-        let rng = Prng.create 9 in
-        fun () -> Btree.insert b [| vi (Prng.int rng 1000000); vi 0 |]))
-
+(* Substrate kernel. *)
 let test_optimizer =
   Test.make ~name:"substrate: optimizer invocation (4-way bushy)"
     (Staged.stage
@@ -131,7 +124,7 @@ let test_optimizer =
 
 let tests =
   [ test_plan_push; test_registry; test_comp_insert; test_router;
-    test_preagg; test_histogram; test_btree; test_optimizer ]
+    test_preagg; test_histogram; test_optimizer ]
 
 let run () =
   let ols =

@@ -892,36 +892,24 @@ let profile_cmd =
     Format.printf "%a@.@." Report.pp_run o.Strategy.report;
     let latest = Calibrate.latest_by_node calibrate in
     let blame = Option.map fst (Calibrate.worst calibrate) in
-    (* Wall shadow per node, aggregated across phases: appended to the
-       calibration annotation so the tree shows virtual time and its
-       hardware cost side by side. *)
-    let wall_by_node =
-      match wall with
-      | None -> []
-      | Some w ->
-        List.map
-          (fun (i : Adp_obs.Wallclock.info) -> (i.Adp_obs.Wallclock.node, i))
-          (Adp_obs.Wallclock.totals w)
-    in
-    let annot ~node =
+    let annot (i : Profile.info) =
       let cal =
-        match List.assoc_opt node latest with
+        match List.assoc_opt i.node latest with
         | None -> None
         | Some ob ->
           Some
             (Printf.sprintf "est %.0f / actual %.0f (q %.2f)%s"
                ob.Calibrate.o_est ob.Calibrate.o_actual ob.Calibrate.o_q
-               (if blame = Some node then "  <- blame" else ""))
+               (if blame = Some i.node then "  <- blame" else ""))
       in
+      (* The span's own wall columns, written by the recorder: virtual
+         time and its hardware cost side by side. *)
       let wl =
-        match List.assoc_opt node wall_by_node with
-        | None -> None
-        | Some i ->
+        if wall = None then None
+        else
           Some
-            (Printf.sprintf "wall %.2fms, %s minor words"
-               (i.Adp_obs.Wallclock.self_s *. 1e3)
-               (Report.human_int
-                  (int_of_float i.Adp_obs.Wallclock.minor_words)))
+            (Printf.sprintf "wall %.2fms, %s minor words" (i.wall_s *. 1e3)
+               (Report.human_int (int_of_float i.minor_words)))
       in
       match (cal, wl) with
       | None, None -> None

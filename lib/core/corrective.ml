@@ -418,7 +418,7 @@ let run ?(config = default_config) query catalog sources =
    | None -> ());
   let ctx =
     Ctx.create ~costs:cfg.costs ~trace:cfg.trace ?metrics:cfg.metrics
-      ?profile:cfg.profile ?calibrate:cfg.calibrate ?wall:cfg.wall ()
+      ?profile:cfg.profile ?wall:cfg.wall ()
   in
   let order_detectors = attach_order_detectors query sources in
   let hist_attrs =
@@ -1124,9 +1124,9 @@ let run ?(config = default_config) query catalog sources =
      one per node's latest observation — the full ledger stays in the
      in-memory [Calibrate.t] the caller passed in. *)
   if Ctx.traced ctx then begin
-    (match cfg.profile with
+    (match ctx.Ctx.observer with
      | None -> ()
-     | Some p ->
+     | Some { Ctx.profile = p; _ } ->
        List.iter
          (fun (i : Profile.info) ->
            Ctx.emit ctx

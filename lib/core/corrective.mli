@@ -107,9 +107,10 @@ type config = {
           its blame node *)
   wall : Adp_obs.Wallclock.t option;
       (** wall-clock/GC shadow recorder: hardware self-time, allocation
-          and sampling-profiler capture at the same charge sites the
-          profiler uses.  Read-only sidecar — a wall-captured run is
-          bit-identical to a bare one *)
+          and sampling-profiler capture, written into the wall columns of
+          the run's profile spans (a private profile without [profile]).
+          Read-only sidecar — a wall-captured run is bit-identical to a
+          bare one *)
   stats_seed : Adp_stats.Selectivity.dump option;
       (** cross-query warm start: seed the selectivity monitor with
           statistics learned by earlier executions (a server's shared

@@ -25,14 +25,6 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
   (* Wall timing goes through the one sanctioned wall-reading module;
      no per-site lint waiver needed. *)
   let wall0 = Adp_obs.Wallclock.monotonic_s () in
-  (* The wall shadow attributes by profile span, so wall capture without
-     an explicit profiler gets a private one (attaching a profiler is
-     itself perturbation-free, see test_obs). *)
-  let profile =
-    match profile, wall with
-    | None, Some _ -> Some (Adp_obs.Profile.create ())
-    | _ -> profile
-  in
   (* Static analysis of the query before any strategy runs: catches what
      used to die as [Eddy: unknown relation] or an unqualified column deep
      inside execution, reporting every problem at once. *)

@@ -54,10 +54,10 @@ type outcome = {
     unprofiled one.
 
     [wall] attaches the wall-clock/GC shadow recorder ({!Static},
-    {!Corrective} and {!Eddying} runs).  Wall capture needs profile
-    spans to attribute against, so a run given [wall] without [profile]
-    gets a private profiler.  The recorder is read-only: virtual clock,
-    result multiset and decision ledger stay bit-identical. *)
+    {!Corrective} and {!Eddying} runs).  It writes the wall columns of
+    the run's profile spans; [Ctx.create] gives a run with [wall] but no
+    [profile] a private profiler.  The recorder is read-only: virtual
+    clock, result multiset and decision ledger stay bit-identical. *)
 val run :
   ?preagg:Optimizer.preagg_strategy ->
   ?costs:Cost_model.t ->

@@ -45,8 +45,8 @@ type t = {
   (* Last routing target per side, to trace only the flips. *)
   mutable last_route_l : op_tag option;
   mutable last_route_r : op_tag option;
-  (* Profiler spans per component; merge/hash attribution brackets the
-     inner Sym_join call with clock reads (reads never perturb time). *)
+  (* Profiler spans per component; the inner merge and hash joins charge
+     their own spans. *)
   sp_router : Adp_obs.Profile.span option;
   sp_merge : Adp_obs.Profile.span option;
   sp_hash : Adp_obs.Profile.span option;
@@ -57,8 +57,9 @@ type t = {
 
 let create ?memory_budget ?(regions = 8) ctx ~variant ~left_schema
     ~right_schema ~left_key ~right_key =
-  let mk mode =
-    Sym_join.create ctx ~mode ~left_schema ~right_schema ~left_key ~right_key
+  let mk span mode =
+    Sym_join.create ?span ctx ~mode ~left_schema ~right_schema ~left_key
+      ~right_key
   in
   let cmp (k1, _) (k2, _) = Tuple.compare_key k1 k2 in
   let sub name =
@@ -68,9 +69,16 @@ let create ?memory_budget ?(regions = 8) ctx ~variant ~left_schema
     end
     else None
   in
-  { ctx; variant; merge = mk `Merge; hash = mk `Hash;
-    sp_router = sub "router"; sp_merge = sub "merge"; sp_hash = sub "hash";
-    sp_pq = sub "pq"; sp_overflow = sub "overflow"; sp_stitch = sub "stitch";
+  (* Explicit registration order, so the profile lists the components
+     the same way run after run. *)
+  let sp_stitch = sub "stitch" in
+  let sp_overflow = sub "overflow" in
+  let sp_pq = sub "pq" in
+  let sp_hash = sub "hash" in
+  let sp_merge = sub "merge" in
+  let sp_router = sub "router" in
+  { ctx; variant; merge = mk sp_merge `Merge; hash = mk sp_hash `Hash;
+    sp_router; sp_merge; sp_hash; sp_pq; sp_overflow; sp_stitch;
     schema = Schema.concat left_schema right_schema;
     pq_l = Heap.create cmp; pq_r = Heap.create cmp;
     lkey = Array.of_list (List.map (Schema.index left_schema) left_key);
@@ -173,22 +181,19 @@ let route t side tuple =
     (match side with
      | L -> t.last_route_l <- Some target
      | R -> t.last_route_r <- Some target);
-    (* Attribute the inner symmetric-join work by bracketing it with
-       clock reads: the delta is exactly what the call charged, and
-       reading the clock cannot perturb it. *)
-    let timed sp op f =
-      match sp with
-      | None -> f ()
-      | Some sp ->
-        let before = Ctx.now t.ctx in
-        let outs = f () in
-        Adp_obs.Profile.add_time sp (Ctx.now t.ctx -. before);
-        Adp_obs.Profile.add_in sp 1;
-        Adp_obs.Profile.add_out sp (List.length outs);
-        Adp_obs.Profile.note_mem sp
-          (Hash_table.length (Sym_join.left_table op)
-          + Hash_table.length (Sym_join.right_table op));
-        outs
+    (* The inner join charges its own span; the tuple counts and memory
+       high-water are the router's to record. *)
+    let join sp op =
+      let outs = Sym_join.insert op (sym_side side) tuple in
+      (match sp with
+       | None -> ()
+       | Some sp ->
+         Adp_obs.Profile.add_in sp 1;
+         Adp_obs.Profile.add_out sp (List.length outs);
+         Adp_obs.Profile.note_mem sp
+           (Hash_table.length (Sym_join.left_table op)
+           + Hash_table.length (Sym_join.right_table op)));
+      outs
     in
     let outs =
       match target with
@@ -196,14 +201,12 @@ let route t side tuple =
         (match side with
          | L -> t.merge_l <- t.merge_l + 1
          | R -> t.merge_r <- t.merge_r + 1);
-        timed t.sp_merge t.merge (fun () ->
-            Sym_join.insert t.merge (sym_side side) tuple)
+        join t.sp_merge t.merge
       | Hash_op ->
         (match side with
          | L -> t.hash_l <- t.hash_l + 1
          | R -> t.hash_r <- t.hash_r + 1);
-        timed t.sp_hash t.hash (fun () ->
-            Sym_join.insert t.hash (sym_side side) tuple)
+        join t.sp_hash t.hash
     in
     maybe_spill t;
     outs

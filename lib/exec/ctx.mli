@@ -7,17 +7,21 @@
     exactly what the engine counted and `Report.run` can be derived from
     the registry — one source of truth, no hand-threaded duplicates. *)
 
+(** The per-node observer: the one span registry, and the wall-clock/GC
+    recorder (if any) that writes the wall columns of its spans. *)
+type observer = {
+  profile : Adp_obs.Profile.t;
+  wall : Adp_obs.Wallclock.t option;
+}
+
 type t = {
   clock : Clock.t;
   costs : Cost_model.t;
   trace : Adp_obs.Trace.t;
   metrics : Adp_obs.Metrics.t;
-  profile : Adp_obs.Profile.t option;
-      (** per-node span profiler; [None] = profiling disabled *)
-  calibrate : Adp_obs.Calibrate.t option;
-      (** estimate-vs-actual calibration ledger; [None] = disabled *)
-  wall : Adp_obs.Wallclock.t option;
-      (** wall-clock/GC shadow recorder; [None] = wall capture off *)
+  observer : observer option;
+      (** [None] = no per-node observation: {!charge_span} only charges
+          the clock *)
   tuples_read : Adp_obs.Metrics.counter;  (** source tuples consumed *)
   tuples_output : Adp_obs.Metrics.counter;  (** result tuples emitted *)
   retries : Adp_obs.Metrics.counter;
@@ -40,13 +44,15 @@ type t = {
 }
 
 (** [trace] defaults to {!Adp_obs.Trace.null} (tracing disabled);
-    [metrics] defaults to a fresh private registry. *)
+    [metrics] defaults to a fresh private registry.  [profile] and
+    [wall] make up the {!observer}: a recorder is attached to the
+    profile, and wall capture without a profiler gets a private one
+    (this is the only place that rule lives). *)
 val create :
   ?costs:Cost_model.t ->
   ?trace:Adp_obs.Trace.t ->
   ?metrics:Adp_obs.Metrics.t ->
   ?profile:Adp_obs.Profile.t ->
-  ?calibrate:Adp_obs.Calibrate.t ->
   ?wall:Adp_obs.Wallclock.t ->
   unit ->
   t
@@ -56,11 +62,8 @@ val create :
     never perturbs the virtual clock. *)
 val charge : t -> float -> unit
 
-(** Is profiling enabled? *)
+(** Is an observer attached (profiling or wall capture)? *)
 val profiled : t -> bool
-
-(** Is the wall-clock shadow recorder attached? *)
-val walled : t -> bool
 
 (** Bucket the wall time of a blocking wait (e.g. ["(driver wait)"]) so
     it never pollutes the next operator's span.  No-op without wall
@@ -68,9 +71,11 @@ val walled : t -> bool
 val wall_wait : t -> string -> unit
 
 (** [charge_span t sp c]: {!charge}, plus attribute the same [c] virtual
-    microseconds to span [sp] (when profiling).  The attribution re-uses
-    the float being charged — it never reads the clock — so a profiled
-    run stays bit-identical to an unprofiled one. *)
+    microseconds to span [sp], and the wall time since the last stamp to
+    its wall columns (when observing).  The attribution re-uses the
+    float being charged — it never reads the virtual clock — so an
+    observed run stays bit-identical to a bare one.  Without an observer
+    this is one branch after the clock charge. *)
 val charge_span : t -> Adp_obs.Profile.span option -> float -> unit
 
 (** The current-phase span for [node], or [None] when not profiling. *)

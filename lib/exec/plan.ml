@@ -164,10 +164,7 @@ and leaf_rt = {
 and join_rt = {
   left : node;
   right : node;
-  lkey : int array;
-  rkey : int array;
-  ltbl : Hash_table.t;
-  rtbl : Hash_table.t;
+  sj : Sym_join.t;  (* the pipelined hash join, charging [j_span] *)
   preds : string list;  (* this join's own predicates *)
   j_probes : Metrics.counter;
   j_builds : Metrics.counter;
@@ -227,23 +224,19 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     if overlap <> [] then
       invalid_arg
         ("Plan.instantiate: duplicate source " ^ String.concat "," overlap);
-    let schema = Schema.concat left.n_schema right.n_schema in
-    let lkey =
-      Array.of_list (List.map (Schema.index left.n_schema) j.left_key)
+    let sj =
+      Sym_join.create ?span:n_span ctx ~mode:`Hash
+        ~left_schema:left.n_schema ~right_schema:right.n_schema
+        ~left_key:j.left_key ~right_key:j.right_key
     in
-    let rkey =
-      Array.of_list (List.map (Schema.index right.n_schema) j.right_key)
-    in
-    { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
-      n_relations = relations spec;
+    { n_spec = spec; n_schema = Sym_join.schema sj;
+      n_signature = signature_of spec; n_relations = relations spec;
       n_sources = left.n_sources @ right.n_sources;
       n_predicates = predicates spec; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
         RJoin
-          { left; right; lkey; rkey;
-            ltbl = Hash_table.create left.n_schema ~key_cols:j.left_key;
-            rtbl = Hash_table.create right.n_schema ~key_cols:j.right_key;
+          { left; right; sj;
             preds = List.map2 canon_pred j.left_key j.right_key;
             j_probes =
               node_counter ctx "adp_node_hash_probes_total"
@@ -310,14 +303,10 @@ let record_in node outs =
   end;
   outs
 
-let probe_cost ctx sp tbl matches =
-  let c = ctx.Ctx.costs in
-  let io = if Hash_table.swapped tbl then c.swap_penalty else 0.0 in
-  Ctx.charge_span ctx sp
-    (c.hash_probe +. io +. (c.per_match *. float_of_int matches))
-
-let join_side ctx j ~from_left tuple =
-  let c = ctx.Ctx.costs in
+(* One tuple into a join node: the node's own counters, then the shared
+   symmetric hash join, which charges the virtual clock against the
+   node's span. *)
+let feed_join j side tuple =
   Metrics.incr j.j_builds;
   Metrics.incr j.j_probes;
   (match j.j_span with
@@ -325,28 +314,12 @@ let join_side ctx j ~from_left tuple =
      Profile.add_builds sp 1;
      Profile.add_probes sp 1
    | None -> ());
-  let outs =
-    if from_left then begin
-      Ctx.charge_span ctx j.j_span c.hash_build;
-      Hash_table.insert j.ltbl tuple;
-      let k = Tuple.key tuple j.lkey in
-      let matches = Hash_table.probe j.rtbl k in
-      probe_cost ctx j.j_span j.rtbl (List.length matches);
-      List.rev_map (fun m -> Tuple.concat tuple m) matches
-    end
-    else begin
-      Ctx.charge_span ctx j.j_span c.hash_build;
-      Hash_table.insert j.rtbl tuple;
-      let k = Tuple.key tuple j.rkey in
-      let matches = Hash_table.probe j.ltbl k in
-      probe_cost ctx j.j_span j.ltbl (List.length matches);
-      List.rev_map (fun m -> Tuple.concat m tuple) matches
-    end
-  in
+  let outs = Sym_join.insert j.sj side tuple in
   (match j.j_span with
    | Some sp ->
      Profile.note_mem sp
-       (Hash_table.length j.ltbl + Hash_table.length j.rtbl)
+       (Hash_table.length (Sym_join.left_table j.sj)
+       + Hash_table.length (Sym_join.right_table j.sj))
    | None -> ());
   outs
 
@@ -435,7 +408,7 @@ let rec do_push ctx ~keep node ~source tuple =
          Some
            (record ~keep node
               (List.concat_map
-                 (join_side ctx j ~from_left:true)
+                 (feed_join j Sym_join.L)
                  (record_in node outs)))
        | None ->
          (match do_push ctx ~keep j.right ~source tuple with
@@ -443,7 +416,7 @@ let rec do_push ctx ~keep node ~source tuple =
             Some
               (record ~keep node
                  (List.concat_map
-                    (join_side ctx j ~from_left:false)
+                    (feed_join j Sym_join.R)
                     (record_in node outs)))
           | None -> None))
     | RPreagg p ->
@@ -466,12 +439,12 @@ let rec do_flush ctx ~keep node =
   | RJoin j ->
     let louts = do_flush ctx ~keep j.left in
     let from_left =
-      List.concat_map (join_side ctx j ~from_left:true)
+      List.concat_map (feed_join j Sym_join.L)
         (record_in node louts)
     in
     let routs = do_flush ctx ~keep j.right in
     let from_right =
-      List.concat_map (join_side ctx j ~from_left:false)
+      List.concat_map (feed_join j Sym_join.R)
         (record_in node routs)
     in
     record ~keep node (from_left @ from_right)
@@ -573,9 +546,12 @@ let join_tables t =
     (fun acc node ->
       match node.impl with
       | RJoin j ->
-        (List.length node.n_relations, node.n_signature ^ "#build-left", j.ltbl)
+        ( List.length node.n_relations,
+          node.n_signature ^ "#build-left",
+          Sym_join.left_table j.sj )
         :: ( List.length node.n_relations,
-             node.n_signature ^ "#build-right", j.rtbl )
+             node.n_signature ^ "#build-right",
+             Sym_join.right_table j.sj )
         :: acc
       | RLeaf _ | RPreagg _ -> acc)
     [] t.root
@@ -664,12 +640,11 @@ let rec capture_node node =
     match node.impl with
     | RLeaf l -> St_leaf { seen = l.seen }
     | RJoin j ->
+      let lt = Sym_join.left_table j.sj and rt = Sym_join.right_table j.sj in
       St_join
         { st_left = capture_node j.left; st_right = capture_node j.right;
-          ltuples = Hash_table.to_list j.ltbl;
-          rtuples = Hash_table.to_list j.rtbl;
-          lswapped = Hash_table.swapped j.ltbl;
-          rswapped = Hash_table.swapped j.rtbl }
+          ltuples = Hash_table.to_list lt; rtuples = Hash_table.to_list rt;
+          lswapped = Hash_table.swapped lt; rswapped = Hash_table.swapped rt }
     | RPreagg p ->
       St_preagg
         { st_child = capture_node p.child;
@@ -695,14 +670,13 @@ let rec restore_node node st =
   match node.impl, st.st_impl with
   | RLeaf l, St_leaf s -> l.seen <- s.seen
   | RJoin j, St_join s ->
-    Hash_table.clear j.ltbl;
-    List.iter (Hash_table.insert j.ltbl) s.ltuples;
-    if s.lswapped then Hash_table.swap_out j.ltbl
-    else Hash_table.swap_in j.ltbl;
-    Hash_table.clear j.rtbl;
-    List.iter (Hash_table.insert j.rtbl) s.rtuples;
-    if s.rswapped then Hash_table.swap_out j.rtbl
-    else Hash_table.swap_in j.rtbl;
+    let refill tbl tuples swapped =
+      Hash_table.clear tbl;
+      List.iter (Hash_table.insert tbl) tuples;
+      if swapped then Hash_table.swap_out tbl else Hash_table.swap_in tbl
+    in
+    refill (Sym_join.left_table j.sj) s.ltuples s.lswapped;
+    refill (Sym_join.right_table j.sj) s.rtuples s.rswapped;
     restore_node j.left s.st_left;
     restore_node j.right s.st_right
   | RPreagg p, St_preagg s ->

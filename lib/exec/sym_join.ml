@@ -6,6 +6,7 @@ type side = L | R
 type t = {
   ctx : Ctx.t;
   mode : [ `Hash | `Merge ];
+  span : Adp_obs.Profile.span option;
   schema : Schema.t;
   ltbl : Hash_table.t;
   rtbl : Hash_table.t;
@@ -16,8 +17,8 @@ type t = {
   mutable in_r : int;
 }
 
-let create ctx ~mode ~left_schema ~right_schema ~left_key ~right_key =
-  { ctx; mode; schema = Schema.concat left_schema right_schema;
+let create ?span ctx ~mode ~left_schema ~right_schema ~left_key ~right_key =
+  { ctx; mode; span; schema = Schema.concat left_schema right_schema;
     ltbl = Hash_table.create left_schema ~key_cols:left_key;
     rtbl = Hash_table.create right_schema ~key_cols:right_key;
     last_l = None; last_r = None; out = 0; in_l = 0; in_r = 0 }
@@ -34,35 +35,33 @@ let accepts t side tuple =
      | Some k -> Tuple.compare_key k (Hash_table.key_of tbl tuple) <= 0)
 
 let insert t side tuple =
-  if not (accepts t side tuple) then
+  let hash = match t.mode with `Hash -> true | `Merge -> false in
+  if not (hash || accepts t side tuple) then
     invalid_arg "Sym_join.insert: out-of-order merge insertion";
   let c = t.ctx.Ctx.costs in
-  let build, probe =
-    match t.mode with
-    | `Hash -> c.hash_build, c.hash_probe
-    | `Merge -> c.merge_append, c.merge_probe
-  in
-  Ctx.charge t.ctx build;
+  Ctx.charge_span t.ctx t.span (if hash then c.hash_build else c.merge_append);
+  let own = match side with L -> t.ltbl | R -> t.rtbl in
+  let other = match side with L -> t.rtbl | R -> t.ltbl in
+  (match side with
+   | L -> t.in_l <- t.in_l + 1
+   | R -> t.in_r <- t.in_r + 1);
+  let k = Hash_table.key_of own tuple in
+  Hash_table.add own k tuple;
+  if not hash then
+    (match side with L -> t.last_l <- Some k | R -> t.last_r <- Some k);
+  let matches = Hash_table.probe other k in
+  (* A probe against a paged-out table pays the cost model's I/O penalty
+     (§3.4.2); with the table resident, [probe +. 0.0] is [probe] bit for
+     bit. *)
+  let io = if Hash_table.swapped other then c.swap_penalty else 0.0 in
+  Ctx.charge_span t.ctx t.span
+    ((if hash then c.hash_probe else c.merge_probe)
+    +. io
+    +. (c.per_match *. float_of_int (List.length matches)));
   let outs =
     match side with
-    | L ->
-      t.in_l <- t.in_l + 1;
-      Hash_table.insert t.ltbl tuple;
-      let k = Hash_table.key_of t.ltbl tuple in
-      if t.mode = `Merge then t.last_l <- Some k;
-      let matches = Hash_table.probe t.rtbl k in
-      Ctx.charge t.ctx
-        (probe +. (c.per_match *. float_of_int (List.length matches)));
-      List.rev_map (fun m -> Tuple.concat tuple m) matches
-    | R ->
-      t.in_r <- t.in_r + 1;
-      Hash_table.insert t.rtbl tuple;
-      let k = Hash_table.key_of t.rtbl tuple in
-      if t.mode = `Merge then t.last_r <- Some k;
-      let matches = Hash_table.probe t.ltbl k in
-      Ctx.charge t.ctx
-        (probe +. (c.per_match *. float_of_int (List.length matches)));
-      List.rev_map (fun m -> Tuple.concat m tuple) matches
+    | L -> List.rev_map (fun m -> Tuple.concat tuple m) matches
+    | R -> List.rev_map (fun m -> Tuple.concat m tuple) matches
   in
   t.out <- t.out + List.length outs;
   outs

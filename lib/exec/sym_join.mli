@@ -13,15 +13,26 @@ open Adp_storage
     conforms); tuples are stored in hash tables over sorted data, and
     probes are charged at the merge join's (cheaper) rate.
 
-    Both modes expose their side tables so that complementary join pairs
-    can run their mini stitch-up across operators, and so that plans can
-    share state structures (§3.1). *)
+    This is the engine's one join: every [Plan] join node runs on a
+    [`Hash] instance, and [Comp_join] pairs a [`Merge] with a [`Hash]
+    one.  Both modes expose their side tables so that complementary join
+    pairs can run their mini stitch-up across operators, plans can share
+    state structures (§3.1), and the memory-pressure heuristic can page
+    them out (§3.4.2).
+
+    Every charge goes through [Ctx.charge_span] against the [span] given
+    at creation, so the profiler (and a wall recorder attached to it)
+    attributes the join's work to its owner.  A probe against a
+    paged-out table also pays the cost model's [swap_penalty]. *)
 
 type side = L | R
 
 type t
 
+(** [span] is the profiler span charged for this join's work (default:
+    none, i.e. charged to the clock only). *)
 val create :
+  ?span:Adp_obs.Profile.span ->
   Ctx.t ->
   mode:[ `Hash | `Merge ] ->
   left_schema:Schema.t ->

@@ -9,6 +9,10 @@ type span = {
   mutable sp_probes : int;
   mutable sp_builds : int;
   mutable sp_mem_hw : int;
+  mutable sp_wall_s : float;
+  mutable sp_samples : int;
+  mutable sp_minor_words : float;
+  mutable sp_major_words : float;
 }
 
 type t = {
@@ -29,6 +33,10 @@ type info = {
   probes : int;
   builds : int;
   mem_hw : int;
+  wall_s : float;
+  samples : int;
+  minor_words : float;
+  major_words : float;
 }
 
 let create () =
@@ -37,24 +45,26 @@ let create () =
 let set_phase t phase = t.cur_phase <- phase
 let phase t = t.cur_phase
 
+let make ~phase ~depth ~order node =
+  { sp_phase = phase; sp_node = node; sp_depth = depth; sp_order = order;
+    sp_self_us = 0.0; sp_in = 0; sp_out = 0; sp_probes = 0; sp_builds = 0;
+    sp_mem_hw = 0; sp_wall_s = 0.0; sp_samples = 0; sp_minor_words = 0.0;
+    sp_major_words = 0.0 }
+
 let span t ?(depth = 0) node =
   let key = (t.cur_phase, node) in
   match Hashtbl.find_opt t.tbl key with
   | Some sp -> sp
   | None ->
-    let sp =
-      { sp_phase = t.cur_phase; sp_node = node; sp_depth = depth;
-        sp_order = t.next_order; sp_self_us = 0.0; sp_in = 0; sp_out = 0;
-        sp_probes = 0; sp_builds = 0; sp_mem_hw = 0 }
-    in
+    let sp = make ~phase:t.cur_phase ~depth ~order:t.next_order node in
     t.next_order <- t.next_order + 1;
     Hashtbl.add t.tbl key sp;
     t.rev <- sp :: t.rev;
     sp
 
+let detached ~phase node = make ~phase ~depth:0 ~order:(-1) node
 let span_phase sp = sp.sp_phase
 let span_node sp = sp.sp_node
-let span_depth sp = sp.sp_depth
 
 let add_time sp us = sp.sp_self_us <- sp.sp_self_us +. us
 let add_in sp n = sp.sp_in <- sp.sp_in + n
@@ -62,16 +72,23 @@ let add_out sp n = sp.sp_out <- sp.sp_out + n
 let add_probes sp n = sp.sp_probes <- sp.sp_probes + n
 let add_builds sp n = sp.sp_builds <- sp.sp_builds + n
 let note_mem sp n = if n > sp.sp_mem_hw then sp.sp_mem_hw <- n
+let add_wall sp s = sp.sp_wall_s <- sp.sp_wall_s +. s
+
+let add_sample sp ~minor_words ~major_words =
+  sp.sp_samples <- sp.sp_samples + 1;
+  sp.sp_minor_words <- sp.sp_minor_words +. minor_words;
+  sp.sp_major_words <- sp.sp_major_words +. major_words
 
 let info sp =
   { phase = sp.sp_phase; node = sp.sp_node; depth = sp.sp_depth;
     order = sp.sp_order; self_us = sp.sp_self_us; tuples_in = sp.sp_in;
     tuples_out = sp.sp_out; probes = sp.sp_probes; builds = sp.sp_builds;
-    mem_hw = sp.sp_mem_hw }
+    mem_hw = sp.sp_mem_hw; wall_s = sp.sp_wall_s; samples = sp.sp_samples;
+    minor_words = sp.sp_minor_words; major_words = sp.sp_major_words }
 
 let spans t = List.rev_map info t.rev
 
-let totals t =
+let aggregate infos =
   let order = ref [] and tbl = Hashtbl.create 16 in
   List.iter
     (fun (i : info) ->
@@ -87,9 +104,15 @@ let totals t =
             tuples_out = acc.tuples_out + i.tuples_out;
             probes = acc.probes + i.probes;
             builds = acc.builds + i.builds;
-            mem_hw = max acc.mem_hw i.mem_hw })
-    (spans t);
+            mem_hw = max acc.mem_hw i.mem_hw;
+            wall_s = acc.wall_s +. i.wall_s;
+            samples = acc.samples + i.samples;
+            minor_words = acc.minor_words +. i.minor_words;
+            major_words = acc.major_words +. i.major_words })
+    infos;
   List.rev_map (Hashtbl.find tbl) !order
+
+let totals t = aggregate (spans t)
 
 let cumulative_us l i =
   let arr = Array.of_list l in
@@ -107,26 +130,23 @@ let cumulative_us l i =
 
 let seconds us = us /. 1e6
 
+let by_phase all =
+  List.fold_left
+    (fun acc (i : info) -> if List.mem i.phase acc then acc else i.phase :: acc)
+    [] all
+  |> List.rev_map (fun ph ->
+         (ph, List.filter (fun (i : info) -> i.phase = ph) all))
+
 let render ?annot ppf t =
-  let all = spans t in
-  let phases =
-    List.fold_left
-      (fun acc (i : info) ->
-        if List.mem i.phase acc then acc else i.phase :: acc)
-      [] all
-    |> List.rev
-  in
   List.iter
-    (fun ph ->
-      let l = List.filter (fun (i : info) -> i.phase = ph) all in
+    (fun (ph, l) ->
       Format.fprintf ppf "%s:@." ph;
       List.iteri
         (fun idx (i : info) ->
           let extra =
             match annot with
             | None -> ""
-            | Some f ->
-              (match f ~node:i.node with None -> "" | Some s -> " " ^ s)
+            | Some f -> (match f i with None -> "" | Some s -> " " ^ s)
           in
           Format.fprintf ppf
             "  %s%s  (self %.6fs, cum %.6fs, in %d, out %d, probes %d, \
@@ -136,7 +156,7 @@ let render ?annot ppf t =
             (seconds (cumulative_us l idx))
             i.tuples_in i.tuples_out i.probes i.builds i.mem_hw extra)
         l)
-    phases
+    (by_phase (spans t))
 
 let info_to_json (i : info) =
   Json.Obj

@@ -16,7 +16,13 @@
     The same registry lives across phase switches: [set_phase] names the
     current phase ("phase 0", "phase 1", "stitch-up", ...), and
     [totals] aggregates the same node across all phases — mirroring how
-    the metrics registry keeps per-signature cells across re-planning. *)
+    the metrics registry keeps per-signature cells across re-planning.
+
+    This is the one per-node span registry.  Each span also carries wall
+    columns — hardware self seconds, sampler ticks, and the minor/major
+    words allocated under it — which only a {!Wallclock} recorder
+    attached to the profile writes.  Without a recorder they stay zero;
+    with one, the virtual columns are unchanged. *)
 
 type t
 type span
@@ -33,6 +39,10 @@ type info = {
   probes : int;
   builds : int;
   mem_hw : int;  (** high-water resident tuple count *)
+  wall_s : float;  (** wall seconds a recorder attributed to this span *)
+  samples : int;  (** recorder sampler ticks that landed in this span *)
+  minor_words : float;  (** minor-heap words allocated under this span *)
+  major_words : float;
 }
 
 val create : unit -> t
@@ -48,12 +58,12 @@ val phase : t -> string
     on first use.  Idempotent per (phase, node). *)
 val span : t -> ?depth:int -> string -> span
 
-(** {2 Identity} — cheap field reads used by the wall-clock shadow to
-    mirror a span without touching the registry. *)
+(** A span outside any registry, for the wall recorder's wait and
+    "(unattributed)" buckets: it never appears in {!spans}. *)
+val detached : phase:string -> string -> span
 
 val span_phase : span -> string
 val span_node : span -> string
-val span_depth : span -> int
 
 (** {2 Accumulation} — all O(1), no clock access. *)
 
@@ -69,6 +79,14 @@ val add_builds : span -> int -> unit
 val note_mem : span -> int -> unit
 (** Raise the high-water mark to [n] if larger. *)
 
+(** {2 Wall columns} — written only by {!Wallclock}. *)
+
+val add_wall : span -> float -> unit
+(** [add_wall sp s] adds [s] wall seconds of self time. *)
+
+val add_sample : span -> minor_words:float -> major_words:float -> unit
+(** Count one sampler tick and the allocation since the previous one. *)
+
 (** {2 Reads} *)
 
 val info : span -> info
@@ -80,6 +98,13 @@ val spans : t -> info list
     registration.  The [phase] field of each entry is ["*"]. *)
 val totals : t -> info list
 
+(** {!totals} over any span list. *)
+val aggregate : info list -> info list
+
+(** Spans grouped by phase, phases in first-appearance order, each
+    group in registration (pre-)order. *)
+val by_phase : info list -> (string * info list) list
+
 (** Self time plus the contiguous run of deeper spans that follows [i]
     in [l] — the cumulative virtual microseconds of the subtree rooted
     at the [i]th span of a pre-order phase listing [l]. *)
@@ -87,10 +112,10 @@ val cumulative_us : info list -> int -> float
 
 (** {2 Rendering} *)
 
-val render :
-  ?annot:(node:string -> string option) -> Format.formatter -> t -> unit
+val render : ?annot:(info -> string option) -> Format.formatter -> t -> unit
 (** Indented per-phase tree: self and cumulative virtual seconds, tuple
     and hash counts, memory high-water.  [annot] may append extra text
-    (est-vs-actual, blame marker) after a node's line. *)
+    (est-vs-actual, blame marker, wall columns) after a span's line. *)
 
+(** The virtual columns of {!spans} and {!totals}. *)
 val to_json : t -> Json.t

@@ -705,8 +705,8 @@ let explain ppf evs =
              | _ -> None)
            evs
        in
-       let annot ~node =
-         if List.mem node blames then Some "<- blame" else None
+       let annot (i : Profile.info) =
+         if List.mem i.node blames then Some "<- blame" else None
        in
        Format.fprintf ppf "-- per-node profile:@.";
        Profile.render ~annot ppf p);

@@ -4,21 +4,28 @@
     state — the effect lint structurally allowlists this file and flags
     any wall read elsewhere as [lint-wallclock-escape].
 
-    A recorder attaches to a run as a sidecar: [Ctx.charge_span] calls
-    {!attribute} at the exact points it charges the virtual clock, so
-    every virtual-time measurement gains a hardware-time shadow.  The
-    recorder only ever {e reads}; nothing it computes flows back into
-    the engine, and a run with wall capture on is bit-identical to a
-    bare run (virtual clock, result multiset, decision ledger).
+    A recorder attaches to a run as a sidecar: [Ctx.create] {!attach}es
+    it to the run's {!Profile} (a private one when the run has no
+    profiler), and [Ctx.charge_span] calls {!attribute} at the exact
+    points it charges the virtual clock.  The recorder only ever
+    {e reads}; nothing it computes flows back into the engine, and a run
+    with wall capture on is bit-identical to a bare run (virtual clock,
+    result multiset, decision ledger).
+
+    There is one span registry, the profile's.  Wall self-time and
+    allocation are written into the wall columns of the profile span
+    being charged; the recorder itself keeps only the timebase, the
+    sampler, the event marks, and the wait and "(unattributed)" buckets
+    (which hang off the current phase and never join the profile).
 
     Attribution is delta-since-last-stamp: each call charges the wall
     time elapsed since the previous call to the span being charged
     (exact in aggregate, one clock read per charge).  Every
     [sample_every]-th attribution is a sampler tick: it captures a
     [Gc.quick_stat] delta, charges the allocation to the sampled span,
-    and records a (timestamp, span stack, GC counters) sample that the
-    collapsed-stack ({!to_folded}) and Perfetto ({!to_perfetto})
-    exports fold up. *)
+    and records a (timestamp, GC counters) sample for the Perfetto
+    export ({!to_perfetto}).  The collapsed-stack export ({!to_folded})
+    folds the profile's pre-order tree. *)
 
 type t
 
@@ -33,8 +40,7 @@ type gc_totals = {
   g_top_heap_words : int;
 }
 
-(** Immutable view of one wall span (the wall shadow of a profile
-    span). *)
+(** The wall columns of one profile span or bucket. *)
 type info = {
   phase : string;
   node : string;
@@ -65,23 +71,16 @@ val cpu_now : unit -> float
 (** Wall seconds since this recorder was created. *)
 val elapsed_s : t -> float
 
-(** Same, relative seconds (alias used at stamp points). *)
-val now_s : t -> float
-
 (** CPU seconds since this recorder was created. *)
 val cpu_s : t -> float
 
 (** {2 Attribution} — called from [Ctx] at the charge points. *)
 
-(** Mirror of [Profile.set_phase]: subsequent spans register under this
-    phase. *)
-val set_phase : t -> string -> unit
+(** Read the spans of this profile too (idempotent).  Buckets follow the
+    current phase of the most recently attached profile. *)
+val attach : t -> Profile.t -> unit
 
-(** Server-side per-query scope: a non-empty scope prefixes phase keys
-    as ["scope:phase"].  Reset with [""]. *)
-val set_scope : t -> string -> unit
-
-(** Charge the wall time since the last stamp to the wall shadow of
+(** Charge the wall time since the last stamp to the wall columns of
     [sp] ([None] goes to the "(unattributed)" bucket). *)
 val attribute : t -> Profile.span option -> unit
 
@@ -99,7 +98,8 @@ val marks : t -> (float * string) list
 (** {2 Reads} *)
 
 val spans : t -> info list
-(** All wall spans in registration order. *)
+(** The spans of every attached profile (in attach order, each in
+    registration order), then the buckets. *)
 
 val totals : t -> info list
 (** Aggregated across phases, keyed by node; [phase] is ["*"]. *)
@@ -112,7 +112,9 @@ val gc_totals : t -> gc_totals
 val to_folded : t -> string
 (** Collapsed-stack flamegraph lines ("phase;anc;...;node count", one
     per span, count = sampler ticks; falls back to µs-of-self-time
-    weights when the run was too short for any tick). *)
+    weights when the run was too short for any tick).  Ancestors come
+    from each phase's pre-order depths, as in
+    [Profile.cumulative_us]. *)
 
 val to_perfetto : t -> string
 (** Chrome/Perfetto trace JSON: GC counter tracks (ph ["C"]) at the

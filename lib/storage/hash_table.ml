@@ -27,12 +27,13 @@ let length t = t.size
 
 let key_of t tuple = Tuple.key tuple t.key_idx
 
-let insert t tuple =
-  let k = key_of t tuple in
+let add t k tuple =
   (match Ktbl.find_opt t.table k with
    | Some cell -> cell := tuple :: !cell
    | None -> Ktbl.replace t.table k (ref [ tuple ]));
   t.size <- t.size + 1
+
+let insert t tuple = add t (key_of t tuple) tuple
 
 let probe t k =
   match Ktbl.find_opt t.table k with Some cell -> !cell | None -> []

@@ -25,6 +25,10 @@ val length : t -> int
 
 val insert : t -> Tuple.t -> unit
 
+(** [add t k tuple] is [insert t tuple] for a caller that already holds
+    [k = key_of t tuple] (and goes on to probe with it). *)
+val add : t -> Value.t array -> Tuple.t -> unit
+
 (** Matches for the probe key (most recently inserted first). *)
 val probe : t -> Value.t array -> Tuple.t list
 

@@ -927,26 +927,17 @@ let test_wall_capture_is_free () =
       "adp_gc_major_collections" ]
 
 (* Recorder mechanics that don't need an engine run: the monotonic
-   timebase, scoped phase keys, wait buckets staying out of the span
-   tree, and the µs fallback for runs too short to tick the sampler. *)
+   timebase, wait buckets staying out of the span tree, and the µs
+   fallback for runs too short to tick the sampler. *)
 let test_wall_recorder_mechanics () =
   let a = Wallclock.monotonic_s () in
   let b = Wallclock.monotonic_s () in
   Alcotest.(check bool) "monotonic probe never steps back" true (b >= a);
   let w = Wallclock.create ~sample_every:1000000 () in
-  Wallclock.set_scope w "q:42";
-  Wallclock.set_phase w "phase 0";
   Wallclock.attribute w None;
   Wallclock.note_wait w "(driver wait)";
   Wallclock.note_event w "poll";
-  Wallclock.set_scope w "";
-  (match Wallclock.spans w with
-   | [] -> Alcotest.fail "no spans"
-   | infos ->
-     Alcotest.(check bool) "scope prefixes the phase key" true
-       (List.for_all
-          (fun (i : Wallclock.info) -> i.Wallclock.phase = "q:42:phase 0")
-          infos));
+  if Wallclock.spans w = [] then Alcotest.fail "no spans";
   Alcotest.(check int) "marks recorded" 1 (List.length (Wallclock.marks w));
   Alcotest.(check int) "sampler never ticked" 0 (Wallclock.sample_count w);
   (* Zero sampler ticks still yields a folded export (µs weights). *)
@@ -960,6 +951,93 @@ let test_wall_recorder_mechanics () =
       if line <> "" && contains ~needle:"(driver wait);" line then
         Alcotest.failf "wait bucket adopted a child: %s" line)
     (String.split_on_char '\n' folded)
+
+(* Comp_join's inner merge and hash joins charge their own profile
+   spans, so a wall recorder attributes hardware time to them instead of
+   to "(unattributed)", and each span's virtual self time is what its
+   join charged: per insert one build and one probe, plus one match cost
+   per output. *)
+let test_comp_join_inner_spans () =
+  let c = Cost_model.default in
+  let charged (l, r) out ~build ~probe =
+    (float_of_int (l + r) *. (build +. probe))
+    +. (c.Cost_model.per_match *. float_of_int out)
+  in
+  (* Sorted keys with every tenth left tuple a straggler far behind, so
+     both the merge and the hash join see work under either variant. *)
+  let left =
+    List.init 2000 (fun i ->
+        let k = if i mod 10 = 9 then i - 500 else i in
+        [| vi k; vi i |])
+  and right = List.init 2000 (fun i -> [| vi i; vi (-i) |]) in
+  List.iter
+    (fun (label, variant) ->
+      let profile = Profile.create () in
+      let wall = Wallclock.create ~sample_every:1 () in
+      let ctx = Ctx.create ~profile ~wall () in
+      let cj =
+        Comp_join.create ctx ~variant ~left_schema:(keyed_schema "l")
+          ~right_schema:(keyed_schema "r") ~left_key:[ "l.k" ]
+          ~right_key:[ "r.k" ]
+      in
+      List.iter (fun t -> ignore (Comp_join.insert cj Comp_join.L t)) left;
+      List.iter (fun t -> ignore (Comp_join.insert cj Comp_join.R t)) right;
+      ignore (Comp_join.finish cj);
+      let st = Comp_join.stats cj in
+      List.iter
+        (fun (node, expected) ->
+          let name = label ^ " " ^ node in
+          (match
+             List.find_opt
+               (fun (i : Wallclock.info) -> i.Wallclock.node = node)
+               (Wallclock.spans wall)
+           with
+           | None -> Alcotest.failf "%s: no wall span" name
+           | Some i ->
+             Alcotest.(check bool) (name ^ " wall attributed") true
+               (i.Wallclock.samples > 0));
+          let self =
+            (List.find
+               (fun (i : Profile.info) -> i.Profile.node = node)
+               (Profile.spans profile))
+              .Profile.self_us
+          in
+          Alcotest.(check bool) (name ^ " join did work") true (expected > 0.0);
+          if Float.abs (self -. expected) > 1e-9 *. expected then
+            Alcotest.failf "%s: profile self %.17g us, joins charged %.17g us"
+              name self expected)
+        [ ( "comp-join/merge",
+            charged st.Comp_join.merge_routed st.Comp_join.merge_out
+              ~build:c.Cost_model.merge_append ~probe:c.Cost_model.merge_probe );
+          ( "comp-join/hash",
+            charged st.Comp_join.hash_routed st.Comp_join.hash_out
+              ~build:c.Cost_model.hash_build ~probe:c.Cost_model.hash_probe ) ])
+    [ ("naive", Comp_join.Naive); ("pq", Comp_join.Priority_queue 64) ]
+
+(* Attaching a wall recorder to a profiled, traced corrective run leaves
+   every virtual column of the profile, and the Node_profile events the
+   run folds into its trace, exactly as they are without one. *)
+let test_wall_keeps_virtual_profile () =
+  let run wall =
+    let profile = Profile.create () and trace = Trace.memory () in
+    ignore (run_q3a ~profile ~trace ?wall ());
+    ( List.map
+        (fun (i : Profile.info) ->
+          { i with Profile.wall_s = 0.0; samples = 0; minor_words = 0.0;
+            major_words = 0.0 })
+        (Profile.spans profile),
+      List.filter
+        (function _, Trace.Node_profile _ -> true | _ -> false)
+        (Trace.events trace) )
+  in
+  let spans, events = run None in
+  let spans_w, events_w = run (Some (Wallclock.create ~sample_every:4 ())) in
+  Alcotest.(check bool) "profile spans recorded" true (spans <> []);
+  Alcotest.(check bool) "node_profile events recorded" true (events <> []);
+  Alcotest.(check bool) "virtual profile columns identical" true
+    (spans = spans_w);
+  Alcotest.(check bool) "node_profile events identical" true
+    (events = events_w)
 
 (* ---------------- histogram quantile edges ---------------- *)
 
@@ -1132,6 +1210,10 @@ let suite =
     Alcotest.test_case "wall capture is free" `Quick test_wall_capture_is_free;
     Alcotest.test_case "wall recorder mechanics" `Quick
       test_wall_recorder_mechanics;
+    Alcotest.test_case "comp-join inner spans attributed" `Quick
+      test_comp_join_inner_spans;
+    Alcotest.test_case "wall capture keeps virtual profile" `Quick
+      test_wall_keeps_virtual_profile;
     Alcotest.test_case "histogram quantile edges" `Quick
       test_histogram_quantile_edges;
     Alcotest.test_case "bench-diff zero and NaN cells" `Quick

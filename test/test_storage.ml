@@ -50,90 +50,6 @@ let hash_model =
       && Hash_table.length h = List.length tuples
       && same_bag (Hash_table.to_list h) tuples)
 
-(* ---------------- Sorted run ---------------- *)
-
-let test_sorted_run () =
-  let r = Sorted_run.create ks ~key_cols:[ "t.k" ] in
-  Sorted_run.append r [| vi 1; vi 0 |];
-  Sorted_run.append r [| vi 3; vi 0 |];
-  Sorted_run.append r [| vi 3; vi 1 |];
-  Sorted_run.append r [| vi 7; vi 0 |];
-  Alcotest.(check bool) "accepts equal" true (Sorted_run.accepts r [| vi 7; vi 9 |]);
-  Alcotest.(check bool) "rejects smaller" false (Sorted_run.accepts r [| vi 2; vi 0 |]);
-  Alcotest.check_raises "out of order raises"
-    (Invalid_argument "Sorted_run.append: out-of-order insertion") (fun () ->
-      Sorted_run.append r [| vi 0; vi 0 |]);
-  Alcotest.(check int) "find dups" 2 (List.length (Sorted_run.find r [| vi 3 |]));
-  Alcotest.(check int) "range" 3
-    (List.length (Sorted_run.range r [| vi 2 |] [| vi 7 |]));
-  Alcotest.(check bool) "last key" true
-    (Sorted_run.last_key r = Some [| vi 7 |])
-
-let sorted_run_model =
-  QCheck2.Test.make ~name:"sorted run find matches filter" ~count:100
-    (gen_keyed_tuples ~key_range:15 ~max_len:60)
-    (fun tuples ->
-      let sorted =
-        List.stable_sort (fun a b -> Value.compare a.(0) b.(0)) tuples
-      in
-      let r = Sorted_run.create ks ~key_cols:[ "t.k" ] in
-      List.iter (Sorted_run.append r) sorted;
-      List.for_all
-        (fun k ->
-          same_bag
-            (Sorted_run.find r [| vi k |])
-            (List.filter (fun t -> Value.equal t.(0) (vi k)) tuples))
-        (List.init 15 Fun.id))
-
-(* ---------------- B+ tree ---------------- *)
-
-let test_btree_basics () =
-  let b = Btree.create ~fanout:4 ks ~key_cols:[ "t.k" ] in
-  for i = 100 downto 1 do
-    Btree.insert b [| vi i; vi (i * 10) |]
-  done;
-  Alcotest.(check int) "length" 100 (Btree.length b);
-  Alcotest.(check bool) "balanced & sorted" true (Btree.check_invariants b);
-  Alcotest.(check bool) "depth grew" true (Btree.depth b > 1);
-  Alcotest.(check int) "find" 1 (List.length (Btree.find b [| vi 42 |]));
-  Alcotest.(check int) "find miss" 0 (List.length (Btree.find b [| vi 999 |]));
-  Alcotest.(check int) "range" 11
-    (List.length (Btree.range b [| vi 20 |] [| vi 30 |]));
-  (* In-order iteration. *)
-  let keys = List.map (fun t -> t.(0)) (Btree.to_list b) in
-  Alcotest.(check bool) "iteration sorted" true
-    (keys = List.init 100 (fun i -> vi (i + 1)))
-
-let test_btree_duplicates () =
-  let b = Btree.create ~fanout:4 ks ~key_cols:[ "t.k" ] in
-  for i = 1 to 20 do
-    Btree.insert b [| vi (i mod 3); vi i |]
-  done;
-  Alcotest.(check int) "dups" 7 (List.length (Btree.find b [| vi 1 |]));
-  Alcotest.(check bool) "invariants with dups" true (Btree.check_invariants b)
-
-let btree_model =
-  QCheck2.Test.make ~name:"btree matches filter model" ~count:60
-    (gen_keyed_tuples ~key_range:50 ~max_len:200)
-    (fun tuples ->
-      let b = Btree.create ~fanout:5 ks ~key_cols:[ "t.k" ] in
-      List.iter (Btree.insert b) tuples;
-      Btree.check_invariants b
-      && same_bag (Btree.to_list b) tuples
-      && List.for_all
-           (fun k ->
-             same_bag
-               (Btree.find b [| vi k |])
-               (List.filter (fun t -> Value.equal t.(0) (vi k)) tuples))
-           [ 0; 7; 23; 49 ]
-      && same_bag
-           (Btree.range b [| vi 10 |] [| vi 20 |])
-           (List.filter
-              (fun t ->
-                Value.compare t.(0) (vi 10) >= 0
-                && Value.compare t.(0) (vi 20) <= 0)
-              tuples))
-
 (* ---------------- Tuple adapter ---------------- *)
 
 let test_adapter () =
@@ -200,56 +116,13 @@ let test_registry_complexity_filter () =
     [ [| vi 1; vi 2 |] ];
   Alcotest.(check int) "leaf not discarded" 0 (Registry.discarded_tuples r)
 
-(* ---------------- State (unified) ---------------- *)
-
-let test_state_kinds () =
-  let check_kind kind =
-    let st = State.create kind ks ~key_cols:[ "t.k" ] in
-    State.insert st [| vi 1; vi 10 |];
-    State.insert st [| vi 2; vi 20 |];
-    State.insert st [| vi 2; vi 21 |];
-    Alcotest.(check int) "length" 3 (State.length st);
-    Alcotest.(check int) "find" 2 (List.length (State.find st [| vi 2 |]));
-    Alcotest.(check int) "to_list" 3 (List.length (State.to_list st))
-  in
-  List.iter check_kind
-    [ State.List_buffer; State.Sorted_list; State.Hash; State.Hash_over_sorted;
-      State.Btree_index ]
-
-let test_state_properties () =
-  let p = State.properties_of State.Sorted_list in
-  Alcotest.(check bool) "sorted requires order" true p.State.requires_sorted;
-  Alcotest.(check bool) "hash keyed" true
-    (State.properties_of State.Hash).State.keyed_access;
-  Alcotest.(check bool) "list not keyed" false
-    (State.properties_of State.List_buffer).State.keyed_access;
-  Alcotest.(check bool) "btree ordered scan" true
-    (State.properties_of State.Btree_index).State.ordered_scan;
-  (* Order enforcement surfaces through the unified API. *)
-  let st = State.create State.Sorted_list ks ~key_cols:[ "t.k" ] in
-  State.insert st [| vi 5; vi 0 |];
-  Alcotest.(check bool) "rejects out of order" false
-    (State.accepts st [| vi 1; vi 0 |]);
-  let ordered = State.create State.Btree_index ks ~key_cols:[ "t.k" ] in
-  State.insert ordered [| vi 5; vi 0 |];
-  State.insert ordered [| vi 1; vi 0 |];
-  let keys = List.map (fun t -> t.(0)) (State.to_list ordered) in
-  Alcotest.(check bool) "btree scan ordered" true (keys = [ vi 1; vi 5 ])
-
 let suite =
   [ Alcotest.test_case "hash basics" `Quick test_hash_basic;
     Alcotest.test_case "hash rehash" `Quick test_hash_rehash;
     Alcotest.test_case "hash swap flags" `Quick test_hash_swap;
     qtest hash_model;
-    Alcotest.test_case "sorted run" `Quick test_sorted_run;
-    qtest sorted_run_model;
-    Alcotest.test_case "btree basics" `Quick test_btree_basics;
-    Alcotest.test_case "btree duplicates" `Quick test_btree_duplicates;
-    qtest btree_model;
     Alcotest.test_case "tuple adapter" `Quick test_adapter;
     qtest adapter_roundtrip;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "registry complexity filter" `Quick
-      test_registry_complexity_filter;
-    Alcotest.test_case "state kinds" `Quick test_state_kinds;
-    Alcotest.test_case "state properties" `Quick test_state_properties ]
+      test_registry_complexity_filter ]
