@@ -935,6 +935,27 @@ let profile_cmd =
             (int_of_float g.Adp_obs.Wallclock.g_major_words))
          g.Adp_obs.Wallclock.g_minor_collections
          g.Adp_obs.Wallclock.g_major_collections;
+       (* The engine's own work and waits, which the operator tree above
+          does not show as shares of the run. *)
+       let elapsed = Adp_obs.Wallclock.elapsed_s w in
+       let totals = Adp_obs.Wallclock.totals w in
+       let shares =
+         List.filter_map
+           (fun node ->
+             match
+               List.find_opt
+                 (fun (i : Adp_obs.Wallclock.info) -> i.node = node)
+                 totals
+             with
+             | Some i when elapsed > 0.0 ->
+               Some
+                 (Printf.sprintf "%s %.1f%%" node
+                    (100.0 *. i.self_s /. elapsed))
+             | Some _ | None -> None)
+           [ "(re-optimizer)"; "(retry)"; "(driver wait)"; "(unattributed)" ]
+       in
+       if shares <> [] then
+         Printf.printf "wall shares: %s\n" (String.concat ", " shares);
        let export file contents what =
          match file with
          | None -> ()

@@ -141,7 +141,9 @@ let attach_order_detectors (query : Logical.query) sources =
 (* Fold the monitor's counters for the running phase into the selectivity
    registry: per-leaf filter pass rates, per-join-subexpression
    selectivities (out over the product of raw leaf reads), and
-   multiplicative-join flags (§4.2). *)
+   multiplicative-join flags (§4.2).  Reads counters only, never the
+   materialized outputs, so it costs O(sources + plan nodes) and counts
+   the same whether or not the phase records its outputs. *)
 let update_observations cfg query catalog sels sources order_detectors plan =
   (* Source cardinalities: the consumed count is a sound lower bound, and
      an exhausted sequential source reveals its exact cardinality —
@@ -261,17 +263,16 @@ let update_observations cfg query catalog sels sources order_detectors plan =
     | _ -> None
   in
   List.iter
-    (fun (name, _schema, tuples, signature) ->
+    (fun (name, passed, signature) ->
       let leaf_sig = Logical.signature_of_set query [ name ] in
       if signature = leaf_sig && seen_of name >= cfg.min_leaf_seen then begin
-        let passed = List.length tuples in
         Adp_stats.Selectivity.observe sels ~signature:leaf_sig
           ~output:(float_of_int passed)
           ~input_product:(float_of_int (seen_of name));
         Adp_stats.Selectivity.observe_output sels ~signature:leaf_sig
           ~cardinality:(predict_output passed [ name ])
       end)
-    (Plan.leaf_partitions plan);
+    (Plan.leaf_counts plan);
   List.iter
     (fun (info : Plan.join_info) ->
       let enough =
@@ -766,6 +767,20 @@ let run ?(config = default_config) query catalog sources =
       s
     | Some _ | None -> sels
   in
+  (* The background poll.  Every read it makes is bounded by the query
+     and the plan, never by the input consumed so far:
+     - [update_observations]: O(sources + plan nodes) counters
+       ([Plan.leaf_seen], [Plan.leaf_counts], [Plan.join_infos]) plus
+       the per-column order trackers, which are O(1) each;
+     - [feed_histogram_predictions]: per join predicate, two histograms
+       of at most 5x their bucket count entries;
+     - [Plan.apply_memory_pressure], [Plan.memory_footprint]: table and
+       group-buffer sizes, O(plan nodes);
+     - [planning_sels], costing and [Optimizer.optimize]: the
+       selectivity registry, O(subexpressions of the query).
+     The one exception is deliberate: a page-out checkpoint
+     ([on_page_out]) serializes the plan state.  Materialized outputs
+     are for stitch-up and checkpoints only. *)
   let poll () =
     let ph = !current in
     if cfg.use_histograms then

@@ -73,9 +73,12 @@ let create ?(costs = Cost_model.default) ?(trace = Trace.null) ?metrics
    contract the same way tracing does. *)
 let wall t = match t.observer with Some { wall; _ } -> wall | None -> None
 
+let wall_attribute t sp =
+  match wall t with None -> () | Some w -> Wallclock.attribute w sp
+
 let charge t c =
   Clock.charge t.clock c;
-  match wall t with None -> () | Some w -> Wallclock.attribute w None
+  wall_attribute t None
 
 let now t = Clock.now t.clock
 let traced t = Trace.enabled t.trace

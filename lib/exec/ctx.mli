@@ -65,6 +65,12 @@ val charge : t -> float -> unit
 (** Is an observer attached (profiling or wall capture)? *)
 val profiled : t -> bool
 
+(** [wall_attribute t sp] stamps the wall time since the last stamp
+    against span [sp] without charging the virtual clock — for work
+    (a re-optimizer poll) that runs after its virtual charge.  No-op
+    without wall capture. *)
+val wall_attribute : t -> Adp_obs.Profile.span option -> unit
+
 (** Bucket the wall time of a blocking wait (e.g. ["(driver wait)"]) so
     it never pollutes the next operator's span.  No-op without wall
     capture. *)

@@ -97,11 +97,16 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     !best
   in
   let reopt_poll cb ~continue =
-    Ctx.charge_span ctx (Ctx.span ctx "(re-optimizer)") ctx.Ctx.costs.reopt;
+    let sp = Ctx.span ctx "(re-optimizer)" in
+    Ctx.charge_span ctx sp ctx.Ctx.costs.reopt;
     (match poll with
      | Some (iv, _) -> next_poll := Ctx.now ctx +. iv
      | None -> ());
-    match cb () with
+    let decision = cb () in
+    (* The poll's own wall time belongs to the re-optimizer, not to
+       whatever is stamped next (usually the driver's wait bucket). *)
+    Ctx.wall_attribute ctx sp;
+    match decision with
     | `Continue -> continue ()
     | `Switch -> Switched
     | `Stop -> Stopped

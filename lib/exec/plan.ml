@@ -503,23 +503,29 @@ let node_results t =
     [] t.root
   |> List.rev
 
-let leaf_partitions t =
-  (* A pre-aggregation directly over a scan acts as the effective leaf:
-     its partial tuples are what the stitch-up phase must combine. *)
+(* The effective leaves, left to right, with their sources.  A
+   pre-aggregation directly over a scan acts as the effective leaf: its
+   partial tuples are what the stitch-up phase must combine. *)
+let effective_leaves t =
   let rec walk acc node =
     match node.impl with
-    | RLeaf l ->
-      (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature)
-      :: acc
-    | RPreagg p ->
-      (match p.child.impl with
-       | RLeaf l ->
-         (l.source, node.n_schema, List.rev node.n_outputs, node.n_signature)
-         :: acc
-       | RJoin _ | RPreagg _ -> walk acc p.child)
+    | RLeaf l | RPreagg { child = { impl = RLeaf l; _ }; _ } ->
+      (l.source, node) :: acc
+    | RPreagg p -> walk acc p.child
     | RJoin j -> walk (walk acc j.left) j.right
   in
   List.rev (walk [] t.root)
+
+let leaf_partitions t =
+  List.map
+    (fun (source, node) ->
+      (source, node.n_schema, List.rev node.n_outputs, node.n_signature))
+    (effective_leaves t)
+
+let leaf_counts t =
+  List.map
+    (fun (source, node) -> (source, node.n_out_count, node.n_signature))
+    (effective_leaves t)
 
 let leaf_seen t =
   fold_nodes

@@ -88,9 +88,10 @@ type t
 
 (** [instantiate ctx spec ~schema_of] resolves scan schemas through
     [schema_of] and builds the runtime tree.  [record_outputs] (default
-    true) materializes every join node's results for registration in the
+    true) materializes every node's results for registration in the
     state-structure registry; disable it for executions that will never
-    stitch (single-phase runs), where it would only consume memory.
+    stitch (single-phase runs), where it would only consume memory.  The
+    counters ({!leaf_counts}, {!join_infos}) count either way.
     @raise Invalid_argument if two scans share a source name. *)
 val instantiate :
   ?record_outputs:bool -> Ctx.t -> spec -> schema_of:(string -> Schema.t) -> t
@@ -129,8 +130,23 @@ val node_results : t -> (string * Schema.t * Tuple.t list * int) list
 
 (** Per-leaf buffered partitions: source name, schema of buffered tuples
     (post-filter, possibly pre-aggregated), the tuples, and the leaf's
-    effective signature. *)
+    effective signature.  Costs O(tuples buffered) and is for stitch-up;
+    the partitions are empty without [record_outputs]. *)
 val leaf_partitions : t -> (string * Schema.t * Tuple.t list * string) list
+
+(** The counters behind {!leaf_partitions}, in the same leaf order:
+    source name, tuples the effective leaf has output (post-filter,
+    possibly pre-aggregated), and its effective signature.  Costs
+    O(plan nodes) and counts with or without [record_outputs]; when
+    outputs are recorded each count is the length of the matching
+    partition.
+
+    The rule: a re-optimizer poll reads counters only ({!leaf_counts},
+    {!leaf_seen}, {!join_infos}, {!memory_footprint}), never
+    materialized outputs, so a poll's cost does not grow with the input
+    consumed.  Materialized outputs exist for stitch-up
+    ({!leaf_partitions}, {!node_results}) and checkpoints ({!capture}). *)
+val leaf_counts : t -> (string * int * string) list
 
 (** Tuples read per leaf source (pre-filter). *)
 val leaf_seen : t -> (string * int) list

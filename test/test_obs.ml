@@ -1039,6 +1039,50 @@ let test_wall_keeps_virtual_profile () =
   Alcotest.(check bool) "node_profile events identical" true
     (events = events_w)
 
+(* The poll's own work (observation refresh, costing, optimizer) lands
+   on the "(re-optimizer)" span, not in the driver's wait bucket that is
+   stamped next; attaching the recorder still changes no virtual
+   column of that span. *)
+let test_reopt_wall_attributed () =
+  let reopt profile =
+    List.filter
+      (fun (i : Profile.info) -> i.Profile.node = "(re-optimizer)")
+      (Profile.spans profile)
+  in
+  let bare = Profile.create () in
+  ignore (run_q3a ~profile:bare ());
+  let walled = Profile.create () and trace = Trace.memory () in
+  ignore
+    (run_q3a ~profile:walled ~trace
+       ~wall:(Wallclock.create ~sample_every:4 ()) ());
+  let spans = reopt walled in
+  Alcotest.(check bool) "re-optimizer spans recorded" true (spans <> []);
+  let wall_s =
+    List.fold_left (fun acc i -> acc +. i.Profile.wall_s) 0.0 spans
+  in
+  (* Each costed poll runs the optimizer, hundreds of microseconds here.
+     Without the stamp after the poll, the span would get only the few
+     microseconds between the wait stamp and the poll's virtual charge. *)
+  let polls =
+    List.length
+      (List.filter
+         (function _, Trace.Reopt_poll _ -> true | _ -> false)
+         (Trace.events trace))
+  in
+  Alcotest.(check bool) "polls costed" true (polls > 0);
+  if wall_s /. float_of_int polls < 25e-6 then
+    Alcotest.failf "re-optimizer got %.1f us per costed poll"
+      (1e6 *. wall_s /. float_of_int polls);
+  let virtual_cols l =
+    List.map
+      (fun (i : Profile.info) ->
+        { i with Profile.wall_s = 0.0; samples = 0; minor_words = 0.0;
+          major_words = 0.0 })
+      l
+  in
+  Alcotest.(check bool) "virtual columns match a bare run" true
+    (virtual_cols spans = virtual_cols (reopt bare))
+
 (* ---------------- histogram quantile edges ---------------- *)
 
 let test_histogram_quantile_edges () =
@@ -1214,6 +1258,8 @@ let suite =
       test_comp_join_inner_spans;
     Alcotest.test_case "wall capture keeps virtual profile" `Quick
       test_wall_keeps_virtual_profile;
+    Alcotest.test_case "re-optimizer wall attributed" `Quick
+      test_reopt_wall_attributed;
     Alcotest.test_case "histogram quantile edges" `Quick
       test_histogram_quantile_edges;
     Alcotest.test_case "bench-diff zero and NaN cells" `Quick

@@ -179,6 +179,54 @@ let test_record_outputs_disabled () =
      Alcotest.(check int) "nothing materialized" 0 (List.length tuples)
    | _ -> Alcotest.fail "expected one node")
 
+(* The poll-side counters agree with the materialized partitions when
+   outputs are recorded, and keep counting when they are not.  The [u]
+   leaf is a pre-aggregation directly over its scan. *)
+let test_leaf_counts () =
+  let r, s = two_rels () in
+  let u = List.init 12 (fun i -> [| vi (i mod 5); vi i |]) in
+  let spec =
+    Plan.join
+      (Plan.join
+         (Plan.scan ~filter:(Predicate.eq "r.k" (vi 2)) "r")
+         (Plan.scan "s") ~on:[ "r.k", "s.k" ])
+      (Plan.preagg ~mode:Plan.Traditional ~group_cols:[ "u.k" ]
+         ~aggs:[ Aggregate.sum ~name:"t" (Expr.col "u.p") ]
+         (Plan.scan "u"))
+      ~on:[ "s.p", "u.k" ]
+  in
+  let run record_outputs =
+    let plan =
+      Plan.instantiate ~record_outputs (Ctx.create ()) spec
+        ~schema_of:(schema_of_tbl tables)
+    in
+    ignore (push_all plan "r" r @ push_all plan "s" s @ push_all plan "u" u);
+    ignore (Plan.flush plan);
+    plan
+  in
+  let recorded = run true and bare = run false in
+  let counts_of_partitions plan =
+    List.map
+      (fun (src, _, tuples, sg) -> (src, List.length tuples, sg))
+      (Plan.leaf_partitions plan)
+  in
+  let counts = Plan.leaf_counts recorded in
+  Alcotest.(check (list (triple string int string)))
+    "recorded: counts = partition lengths" (counts_of_partitions recorded)
+    counts;
+  (* r passes its filter twice, s passes everything, and the
+     pre-aggregation leaf emits one partial per distinct u.k. *)
+  Alcotest.(check (list (pair string int)))
+    "true filtered counts" [ ("r", 2); ("s", 3); ("u", 5) ]
+    (List.map (fun (src, n, _) -> (src, n)) counts);
+  let _, _, u_sig = List.nth counts 2 in
+  Alcotest.(check bool) "u's effective leaf is the pre-aggregation" true
+    (u_sig <> Plan.signature_of (Plan.scan "u"));
+  Alcotest.(check bool) "unrecorded: partitions empty" true
+    (List.for_all (fun (_, _, t, _) -> t = []) (Plan.leaf_partitions bare));
+  Alcotest.(check (list (triple string int string)))
+    "unrecorded: counts still true" counts (Plan.leaf_counts bare)
+
 let test_memory_pressure () =
   let r = List.init 100 (fun i -> [| vi i; vi i |]) in
   let s = List.init 100 (fun i -> [| vi i; vi i |]) in
@@ -248,4 +296,5 @@ let suite =
     Alcotest.test_case "memory pressure" `Quick test_memory_pressure;
     Alcotest.test_case "record_outputs disabled" `Quick
       test_record_outputs_disabled;
+    Alcotest.test_case "leaf counters" `Quick test_leaf_counts;
     qtest join_vs_oracle ]

@@ -47,6 +47,43 @@ let test_q10a_skewed () = check_query ~ds:skewed_dataset Workload.Q10A
 let test_q5 () = check_query Workload.Q5
 let test_q5_with_cards () = check_query ~with_cardinalities:true Workload.Q5
 
+(* A single-phase run records no outputs, but its phase-close
+   observations must still learn the true leaf pass rates: Static and a
+   never-switching Corrective run read the same stream through the same
+   plan, so they learn the same leaf selectivities. *)
+let test_static_learns_leaf_sels () =
+  let q = Workload.query Workload.Q5 in
+  let catalog = Workload.catalog dataset q in
+  let sources () = Workload.sources dataset q () in
+  let learned strat =
+    match (Strategy.run ~label:"learn" strat q catalog ~sources)
+            .Strategy.corrective_stats
+    with
+    | Some st ->
+      List.filter_map
+        (fun (s : Logical.source) ->
+          let sg = Logical.signature_of_set q [ s.Logical.name ] in
+          Option.map (fun v -> (sg, v))
+            (List.assoc_opt sg
+               st.Corrective.learned.Adp_stats.Selectivity.d_sels))
+        q.Logical.sources
+    | None -> Alcotest.fail "no corrective stats"
+  in
+  let static = learned Strategy.Static in
+  let corrective =
+    learned
+      (Strategy.Corrective
+         { Corrective.default_config with poll_interval = infinity })
+  in
+  Alcotest.(check bool) "leaf selectivities learned" true
+    (List.length static >= 2);
+  List.iter
+    (fun (sg, v) ->
+      if v <= 0.0 then Alcotest.failf "%s learned pass rate %g" sg v)
+    static;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "static = corrective leaf selectivities" corrective static
+
 let test_flights_example () =
   let d =
     Flights.generate
@@ -330,6 +367,8 @@ let suite =
     Alcotest.test_case "flights example" `Slow test_flights_example;
     Alcotest.test_case "preagg strategies agree" `Slow
       test_preagg_strategies_agree;
+    Alcotest.test_case "static learns leaf selectivities" `Quick
+      test_static_learns_leaf_sels;
     Alcotest.test_case "corrective actually switches" `Quick
       test_corrective_switches;
     Alcotest.test_case "corrective + preagg across phases" `Slow
