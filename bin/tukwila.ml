@@ -142,8 +142,8 @@ let explain_cmd =
 
 let plan_cmd =
   let run sql scale skew seed cards =
-    let ds = dataset scale skew seed in
     let q = parse_query sql in
+    let ds = dataset scale skew seed in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
     let sels = Adp_stats.Selectivity.create () in
     let r = Optimizer.optimize ~preagg:Optimizer.Auto q catalog sels in
@@ -469,8 +469,8 @@ let query_cmd =
   let run sql scale skew seed cards strategy preagg model faults mirrors
       retry limit ckpt_dir ckpt_every resume crash trace_file metrics_file
       with_wall deadline_s memory_budget memory_ceiling breaker =
-    let ds = dataset scale skew seed in
     let q, order = parse_query_with_order sql in
+    let ds = dataset scale skew seed in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
     let warned = ref false in
     let sources () =
@@ -734,6 +734,7 @@ let rec apply_mutation m spec =
 
 let check_cmd =
   let run sql_opt scale skew seed phases workloads breaks audits =
+    let q_opt = Option.map parse_query sql_opt in
     let ds = dataset scale skew seed in
     let exit_code = ref 0 in
     let report label diags =
@@ -784,9 +785,8 @@ let check_cmd =
           @ uniform_leak)
       end
     in
-    (match sql_opt with
-     | Some sql ->
-       let q = parse_query sql in
+    (match q_opt with
+     | Some q ->
        check_one "query" q
          ~catalog:(Workload.catalog ~with_cardinalities:true ds q)
          ~table:(Tpch.table ds)
@@ -845,12 +845,12 @@ let profile_cmd =
   let run arg scale skew seed cards model trace_file with_wall folded_file
       perfetto_file =
     let with_wall = with_wall || folded_file <> None || perfetto_file <> None in
-    let ds = dataset scale skew seed in
     let q =
       match workload_of_string arg with
       | Some wq -> Workload.query wq
       | None -> parse_query arg
     in
+    let ds = dataset scale skew seed in
     let catalog = Workload.catalog ~with_cardinalities:cards ds q in
     (* The default reproduces the paper's mis-costed situation: the
        optimizer plans without statistics AND starts from the costliest

@@ -90,27 +90,6 @@ type config = {
       (** engine-level fault injection: raise
           {!Adp_recovery.Crash.Crashed} at the given execution points
           (after any due checkpoint has been written) *)
-  trace : Adp_obs.Trace.t;
-      (** trace sink; {!Adp_obs.Trace.null} (the default) disables all
-          event emission at zero cost and zero clock perturbation *)
-  metrics : Adp_obs.Metrics.t option;
-      (** record counters into this registry instead of a fresh private
-          one (so a caller can dump them after the run) *)
-  profile : Adp_obs.Profile.t option;
-      (** per-node span profiler: virtual time, tuple and hash counts,
-          memory high-water, attributed at the exact clock-charge sites —
-          a profiled run is bit-identical to an unprofiled one *)
-  calibrate : Adp_obs.Calibrate.t option;
-      (** calibration ledger: per-node estimated vs. observed
-          cardinality at every re-optimizer poll, phase close and
-          stitch-up, plus every switch decision (taken or declined) with
-          its blame node *)
-  wall : Adp_obs.Wallclock.t option;
-      (** wall-clock/GC shadow recorder: hardware self-time, allocation
-          and sampling-profiler capture, written into the wall columns of
-          the run's profile spans (a private profile without [profile]).
-          Read-only sidecar — a wall-captured run is bit-identical to a
-          bare one *)
   stats_seed : Adp_stats.Selectivity.dump option;
       (** cross-query warm start: seed the selectivity monitor with
           statistics learned by earlier executions (a server's shared
@@ -163,9 +142,32 @@ type stats = {
 }
 
 (** Execute the query under corrective query processing.  Sources are
-    consumed sequentially and never rewound. *)
+    consumed sequentially and never rewound.
+
+    The observers are read-only sidecars, set per run like
+    {!Adp_exec.Ctx.create}'s:
+    - [trace]: trace sink; {!Adp_obs.Trace.null} (the default) disables
+      all event emission at zero cost and zero clock perturbation;
+    - [metrics]: record counters into this registry instead of a fresh
+      private one (so a caller can dump them after the run);
+    - [profile]: per-node span profiler: virtual time, tuple and hash
+      counts, memory high-water, attributed at the exact clock-charge
+      sites — a profiled run is bit-identical to an unprofiled one;
+    - [calibrate]: calibration ledger: per-node estimated vs. observed
+      cardinality at every re-optimizer poll, phase close and stitch-up,
+      plus every switch decision (taken or declined) with its blame
+      node;
+    - [wall]: wall-clock/GC shadow recorder: hardware self-time,
+      allocation and sampling-profiler capture, written into the wall
+      columns of the run's profile spans (a private profile without
+      [profile]).  A wall-captured run is bit-identical to a bare one. *)
 val run :
   ?config:config ->
+  ?trace:Adp_obs.Trace.t ->
+  ?metrics:Adp_obs.Metrics.t ->
+  ?profile:Adp_obs.Profile.t ->
+  ?calibrate:Adp_obs.Calibrate.t ->
+  ?wall:Adp_obs.Wallclock.t ->
   Logical.query ->
   Catalog.t ->
   Source.t list ->

@@ -19,6 +19,14 @@ type outcome = {
 
 let us_to_s v = v /. 1e6
 
+(* A single-phase, fault-free report; strategies override what they
+   track beyond that. *)
+let base_report label ~time ~cpu ~idle ~result_card =
+  { Report.label; time_s = us_to_s time; cpu_s = us_to_s cpu;
+    idle_s = us_to_s idle; wall_s = 0.0; phases = 1; stitch_time_s = 0.0;
+    reused = 0; discarded = 0; result_card; coverage = 1.0; retries = 0;
+    failovers = 0; paged_out = 0; checkpoints = 0; degraded_reason = None }
+
 let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
     ?(label = "run") ?initial_plan ?retry ?trace ?metrics ?profile ?calibrate
     ?wall strategy query catalog ~sources =
@@ -40,37 +48,29 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
         match strategy with
         | Corrective c ->
           { c with preagg; costs; initial_plan;
-            retry = Option.value ~default:c.retry retry;
-            trace = Option.value ~default:c.Corrective.trace trace;
-            metrics =
-              (match metrics with Some _ -> metrics | None -> c.metrics);
-            profile =
-              (match profile with Some _ -> profile | None -> c.profile);
-            calibrate =
-              (match calibrate with
-               | Some _ -> calibrate
-               | None -> c.calibrate);
-            wall = (match wall with Some _ -> wall | None -> c.wall) }
+            retry = Option.value ~default:c.retry retry }
         | Static | Plan_partitioned _ | Competitive _ | Eddying ->
           (* Static = corrective that never polls and never switches. *)
           { Corrective.default_config with
             poll_interval = infinity; max_phases = 1; preagg; costs;
             initial_plan;
             retry =
-              Option.value ~default:Corrective.default_config.retry retry;
-            trace = Option.value ~default:Adp_obs.Trace.null trace;
-            metrics; profile; calibrate; wall }
+              Option.value ~default:Corrective.default_config.retry retry }
       in
-      let result, stats = Corrective.run ~config query catalog (sources ()) in
+      let result, stats =
+        Corrective.run ~config ?trace ?metrics ?profile ?calibrate ?wall query
+          catalog (sources ())
+      in
       let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = stats.phases;
+        { (base_report label ~time:stats.total_time ~cpu:stats.cpu
+             ~idle:stats.idle ~result_card:stats.result_card)
+          with
+          phases = stats.phases;
           stitch_time_s = us_to_s stats.stitch.Stitchup.time;
           reused = stats.reused_tuples; discarded = stats.discarded_tuples;
-          result_card = stats.result_card; coverage = stats.coverage;
-          retries = stats.retries; failovers = stats.failovers;
-          paged_out = stats.paged_out; checkpoints = stats.checkpoints;
+          coverage = stats.coverage; retries = stats.retries;
+          failovers = stats.failovers; paged_out = stats.paged_out;
+          checkpoints = stats.checkpoints;
           degraded_reason = stats.degraded_reason }
       in
       { result; report; corrective_stats = Some stats }
@@ -80,12 +80,10 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
           catalog (sources ())
       in
       let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = stats.stages; stitch_time_s = 0.0;
-          reused = 0; discarded = 0; result_card = stats.result_card;
-          coverage = 1.0; retries = 0; failovers = 0; paged_out = 0;
-          checkpoints = 0; degraded_reason = None }
+        { (base_report label ~time:stats.total_time ~cpu:stats.cpu
+             ~idle:stats.idle ~result_card:stats.result_card)
+          with
+          phases = stats.stages }
       in
       { result; report; corrective_stats = None }
     | Competitive { candidates; explore_budget } ->
@@ -93,15 +91,11 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
         Competition.run ~costs ~candidates ~explore_budget query catalog
           ~sources
       in
-      let report =
-        { Report.label; time_s = us_to_s stats.total_time;
-          cpu_s = us_to_s stats.cpu; idle_s = us_to_s stats.idle;
-          wall_s = 0.0; phases = 1; stitch_time_s = 0.0; reused = 0;
-          discarded = 0; result_card = stats.result_card; coverage = 1.0;
-          retries = 0; failovers = 0; paged_out = 0; checkpoints = 0;
-          degraded_reason = None }
-      in
-      { result; report; corrective_stats = None }
+      { result;
+        report =
+          base_report label ~time:stats.total_time ~cpu:stats.cpu
+            ~idle:stats.idle ~result_card:stats.result_card;
+        corrective_stats = None }
     | Eddying ->
       let ctx = Ctx.create ~costs ?trace ?metrics ?wall () in
       let eddy =
@@ -128,24 +122,14 @@ let run ?(preagg = Optimizer.No_preagg) ?(costs = Cost_model.default)
        | Driver.Switched | Driver.Stopped -> assert false);
       let result = Sink.result sink in
       Ctx.sync_metrics ctx;
-      let coverage =
-        let delivered, total =
-          List.fold_left
-            (fun (d, t) src ->
-              d + Source.consumed src, t + Source.cardinality src)
-            (0, 0) srcs
-        in
-        if total = 0 then 1.0 else float_of_int delivered /. float_of_int total
-      in
       let report =
-        { Report.label; time_s = us_to_s (Ctx.now ctx);
-          cpu_s = us_to_s (Clock.cpu ctx.Ctx.clock);
-          idle_s = us_to_s (Clock.idle ctx.Ctx.clock); wall_s = 0.0;
-          phases = 1; stitch_time_s = 0.0; reused = 0; discarded = 0;
-          result_card = Relation.cardinality result; coverage;
+        { (base_report label ~time:(Ctx.now ctx) ~cpu:(Clock.cpu ctx.Ctx.clock)
+             ~idle:(Clock.idle ctx.Ctx.clock)
+             ~result_card:(Relation.cardinality result))
+          with
+          coverage = Source.coverage srcs;
           retries = Adp_obs.Metrics.count ctx.Ctx.retries;
-          failovers = Adp_obs.Metrics.count ctx.Ctx.failovers;
-          paged_out = 0; checkpoints = 0; degraded_reason = None }
+          failovers = Adp_obs.Metrics.count ctx.Ctx.failovers }
       in
       { result; report; corrective_stats = None }
   in

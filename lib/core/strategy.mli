@@ -41,15 +41,18 @@ type outcome = {
     starting plan.  [retry] overrides the source timeout/retry/failover
     policy for {!Static}, {!Corrective} and {!Eddying} runs.
 
+    The observers pass straight through to {!Corrective.run} (and the
+    eddy's context); a corrective config carries none of them.
+
     [trace] and [metrics] attach observability sinks to {!Static},
-    {!Corrective} and {!Eddying} runs (they override any sink already in
-    a corrective config; the remaining baselines ignore them).  Tracing
+    {!Corrective} and {!Eddying} runs (the remaining baselines ignore
+    them).  Tracing
     never perturbs the virtual clock: a traced run and an untraced run
     report identical virtual times and result multisets.
 
     [profile] and [calibrate] attach the per-node span profiler and the
     estimate-vs-actual calibration ledger to {!Static} and {!Corrective}
-    runs (same override rule as [trace]/[metrics]); like tracing, both
+    runs; like tracing, both
     are zero-perturbation — a profiled run is bit-identical to an
     unprofiled one.
 

@@ -446,10 +446,12 @@ let run config resolver script =
     let cc =
       { config.corrective with
         Corrective.checkpoint = Some policy; resume_from = params.a_resume;
-        crash; stats_seed = Some params.a_seed; trace = inner;
-        metrics = Some qm; deadline; memory_budget }
+        crash; stats_seed = Some params.a_seed; deadline; memory_budget }
     in
-    match Corrective.run ~config:cc r.r_query r.r_catalog (r.r_sources ()) with
+    match
+      Corrective.run ~config:cc ~trace:inner ~metrics:qm r.r_query r.r_catalog
+        (r.r_sources ())
+    with
     | result, stats ->
       (* determinism-ok: draining the job's own capture trace ([] when
          tracing is off) into the reply, not back into execution *)

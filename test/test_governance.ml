@@ -16,6 +16,7 @@ module Analyzer = Adp_analysis.Analyzer
 module Diagnostic = Adp_analysis.Diagnostic
 module Trace = Adp_obs.Trace
 module Metrics = Adp_obs.Metrics
+module Calibrate = Adp_obs.Calibrate
 module Workload = Adp_query.Workload
 module Sql_parser = Adp_query.Sql_parser
 module Script = Adp_server.Script
@@ -183,11 +184,13 @@ let dataset =
 
 let spj_query = lazy (Sql_parser.parse ~schema_of:Tpch.schema_of spj_sql)
 
-let spj_run ?(config = Corrective.default_config) () =
+let spj_run ?(config = Corrective.default_config) ?trace ?metrics () =
   let q = Lazy.force spj_query in
   let catalog = Workload.catalog dataset q in
   let sources = Workload.sources ~model:(Source.Bandwidth 2000.0) dataset q () in
-  let result, stats = Corrective.run ~config q catalog sources in
+  let result, stats =
+    Corrective.run ~config ?trace ?metrics q catalog sources
+  in
   (Relation.to_list result, stats)
 
 (* Is [small] a subset-multiset of [big]? *)
@@ -255,10 +258,8 @@ let test_degraded_zero_perturbation () =
   let metrics = Metrics.create () in
   let traced_rows, traced =
     spj_run
-      ~config:
-        { Corrective.default_config with
-          deadline = Some deadline; trace; metrics = Some metrics }
-      ()
+      ~config:{ Corrective.default_config with deadline = Some deadline }
+      ~trace ~metrics ()
   in
   Alcotest.(check bool) "rows identical under tracing" true
     (List.length plain_rows = List.length traced_rows
@@ -274,6 +275,67 @@ let test_degraded_zero_perturbation () =
     (has (function
       | Trace.Query_degraded { reason = "deadline"; _ } -> true
       | _ -> false))
+
+(* A guarded poll's calibration evidence is priced exactly like a costed
+   poll's: with lineitem's breaker open, both see the source pinned at its
+   observed cardinality.  The guarded run declines every switch through
+   the min-remaining guard; the costed run disables the guard and sets a
+   threshold no switch can beat, so the two executions are identical and
+   each decision pairs with one at the same instant. *)
+let test_guarded_evidence_under_open_breaker () =
+  let breaker =
+    { Breaker.window_s = 60.0; failure_threshold = 2; cooldown_s = 1.0;
+      probe_jitter = 0.1; seed = 11 }
+  in
+  let run ~min_remaining_fraction =
+    let q = Lazy.force spj_query in
+    let catalog = Workload.catalog dataset q in
+    let sources =
+      Workload.sources ~model:(Source.Bandwidth 2000.0) dataset q ()
+    in
+    List.iter
+      (fun s ->
+        if Source.name s = "lineitem" then
+          Source.inject s
+            (Source.Disconnect
+               { after_tuples = 500; rejoin_after_s = Some 2.0 }))
+      sources;
+    let calibrate = Calibrate.create () in
+    let config =
+      { Corrective.default_config with
+        poll_interval = 2e4; switch_threshold = 0.0; min_remaining_fraction;
+        retry = retry_fast; breaker = Some breaker }
+    in
+    let _, stats = Corrective.run ~config ~calibrate q catalog sources in
+    (stats, Calibrate.decisions calibrate)
+  in
+  let guarded, g_decisions = run ~min_remaining_fraction:1.0 in
+  let costed, c_decisions = run ~min_remaining_fraction:0.0 in
+  Alcotest.(check bool) "the breaker tripped" true
+    (guarded.Corrective.breaker_trips >= 1);
+  Alcotest.(check (float 0.0)) "same virtual time"
+    costed.Corrective.total_time guarded.Corrective.total_time;
+  Alcotest.(check int) "one decision per poll in both runs"
+    (List.length c_decisions) (List.length g_decisions);
+  let guard_fired =
+    List.filter
+      (fun (d : Calibrate.decision) ->
+        d.Calibrate.d_verdict = Calibrate.Kept_guard "min-remaining")
+      g_decisions
+  in
+  Alcotest.(check bool) "the guard fired" true (guard_fired <> []);
+  List.iter2
+    (fun (g : Calibrate.decision) (c : Calibrate.decision) ->
+      let at = Printf.sprintf " at %.6f s" g.Calibrate.d_at in
+      Alcotest.(check (float 0.0)) ("poll instant" ^ at) c.Calibrate.d_at
+        g.Calibrate.d_at;
+      Alcotest.(check (float 0.0)) ("cost-to-go" ^ at)
+        c.Calibrate.d_current_cost g.Calibrate.d_current_cost;
+      Alcotest.(check (float 0.0)) ("best cost" ^ at) c.Calibrate.d_best_cost
+        g.Calibrate.d_best_cost;
+      Alcotest.(check (float 0.0)) ("switch cost" ^ at)
+        c.Calibrate.d_switch_cost g.Calibrate.d_switch_cost)
+    g_decisions c_decisions
 
 (* ---------------- governance knob analyzer ---------------- *)
 
@@ -520,6 +582,8 @@ let suite =
       test_ceiling_degrades_to_subset;
     Alcotest.test_case "degraded runs are zero-perturbation" `Slow
       test_degraded_zero_perturbation;
+    Alcotest.test_case "guarded polls price evidence under open breakers"
+      `Slow test_guarded_evidence_under_open_breaker;
     Alcotest.test_case "governance knob validation" `Quick
       test_governance_knob_validation;
     Alcotest.test_case "script: class=/deadline= grammar" `Quick

@@ -186,6 +186,43 @@ let test_corrective_switches () =
     in
     Alcotest.(check int) "all tuples read once" (3000 + 2000 + 40) total_read
 
+(* Stitch-up with intermediate reuse off (the §3.4 ablation) recomputes
+   every uniform combination instead of reading the registry: the same
+   answer, with nothing reused.  Q10A from the poorest plan switches and,
+   with reuse on, does reuse registered intermediates. *)
+let test_corrective_without_reuse () =
+  let q = Workload.query Workload.Q10A in
+  let catalog = Workload.catalog dataset q in
+  let sources () = Workload.sources dataset q () in
+  let want = Strategy.reference q catalog ~sources in
+  let bad =
+    let true_catalog = Workload.catalog ~with_cardinalities:true dataset q in
+    (Optimizer.pessimal q true_catalog (Adp_stats.Selectivity.create ()))
+      .Optimizer.spec
+  in
+  let run reuse_intermediates =
+    let cfg =
+      { Corrective.default_config with
+        poll_interval = 2e4; min_leaf_seen = 200; switch_threshold = 0.8;
+        reuse_intermediates }
+    in
+    match
+      Strategy.run ~label:"reuse" ~initial_plan:bad (Strategy.Corrective cfg)
+        q catalog ~sources
+    with
+    | { Strategy.result; corrective_stats = Some stats; _ } -> (result, stats)
+    | { Strategy.corrective_stats = None; _ } ->
+      Alcotest.fail "expected corrective stats"
+  in
+  let with_reuse, on = run true in
+  let without, off = run false in
+  Alcotest.(check bool) "switched, so stitch-up ran" true
+    (off.Corrective.phases >= 2);
+  Alcotest.(check bool) "reuse on reuses" true (on.Corrective.reused_tuples > 0);
+  Alcotest.(check int) "reuse off reuses nothing" 0 off.Corrective.reused_tuples;
+  check_approx_rel "reuse off = reuse on" with_reuse without;
+  check_approx_rel "reuse off = reference" want without
+
 (* CQP composed with pre-aggregation: phases emit *partial* tuples, the
    leaf partitions visible to stitch-up are pre-aggregated, and the shared
    sink coalesces partials from every phase and from stitch-up.  The paper
@@ -371,6 +408,8 @@ let suite =
       test_static_learns_leaf_sels;
     Alcotest.test_case "corrective actually switches" `Quick
       test_corrective_switches;
+    Alcotest.test_case "corrective stitch-up without reuse" `Quick
+      test_corrective_without_reuse;
     Alcotest.test_case "corrective + preagg across phases" `Slow
       test_corrective_with_preagg_switches;
     Alcotest.test_case "corrective under memory pressure" `Quick
