@@ -11,12 +11,7 @@
      profile    EXPLAIN-ANALYZE-style run: per-node virtual time and
                 tuple counts, estimate-vs-actual calibration, blame
      bench-diff compare two BENCH_<id>.json files with per-kind
-                thresholds (regression gate for CI)
-     top        render a telemetry JSONL file written by
-                serve --telemetry as a text dashboard
-     bench-history
-                append BENCH_<id>.json documents to longitudinal
-                per-bench histories and render/gate the trends *)
+                thresholds (regression gate for CI) *)
 
 open Cmdliner
 open Adp_relation
@@ -1020,6 +1015,11 @@ module Server_script = Adp_server.Script
 module Poll_controller = Adp_server.Poll_controller
 
 let serve_cmd =
+  (* Every knob defaults to the server's own default; the flags speak
+     seconds where the server speaks virtual µs. *)
+  let d = Server.default_config ~checkpoint_dir:"" in
+  let p = d.Server.poll in
+  let secs us = us /. 1e6 in
   let script_arg =
     let doc =
       "The workload script: timestamped $(b,submit)/$(b,kill)/$(b,cancel)/\
@@ -1030,51 +1030,61 @@ let serve_cmd =
   in
   let workers_arg =
     let doc = "Worker pool size." in
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Server.workers & info [ "workers" ] ~docv:"N" ~doc)
   in
   let queue_cap_arg =
     let doc = "Admission bound: submissions beyond this many waiting queries \
                are rejected (load shedding)." in
-    Arg.(value & opt int 16 & info [ "queue-cap" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Server.queue_capacity
+         & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
   let poll_min_arg =
     let doc = "Smallest dispatcher poll interval, virtual seconds." in
-    Arg.(value & opt float 0.01 & info [ "poll-min" ] ~docv:"S" ~doc)
+    Arg.(value & opt float (secs p.Poll_controller.min_interval)
+         & info [ "poll-min" ] ~docv:"S" ~doc)
   in
   let poll_max_arg =
     let doc = "Largest dispatcher poll interval, virtual seconds." in
-    Arg.(value & opt float 1.0 & info [ "poll-max" ] ~docv:"S" ~doc)
+    Arg.(value & opt float (secs p.Poll_controller.max_interval)
+         & info [ "poll-max" ] ~docv:"S" ~doc)
   in
   let poll_backoff_arg =
     let doc = "Interval multiplier after an empty poll (>= 1)." in
-    Arg.(value & opt float 1.5 & info [ "poll-backoff" ] ~docv:"F" ~doc)
+    Arg.(value & opt float p.Poll_controller.backoff
+         & info [ "poll-backoff" ] ~docv:"F" ~doc)
   in
   let poll_speedup_arg =
     let doc = "Interval multiplier after a busy poll (in (0, 1]), damped \
                by the busy fraction of the sliding window." in
-    Arg.(value & opt float 0.7 & info [ "poll-speedup" ] ~docv:"F" ~doc)
+    Arg.(value & opt float p.Poll_controller.speedup
+         & info [ "poll-speedup" ] ~docv:"F" ~doc)
   in
   let poll_window_arg =
     let doc = "Sliding window of recent polls damping the speedup." in
-    Arg.(value & opt int 8 & info [ "poll-window" ] ~docv:"N" ~doc)
+    Arg.(value & opt int p.Poll_controller.window
+         & info [ "poll-window" ] ~docv:"N" ~doc)
   in
   let hb_interval_arg =
     let doc = "Worker heartbeat period, virtual seconds." in
-    Arg.(value & opt float 0.05 & info [ "hb-interval" ] ~docv:"S" ~doc)
+    Arg.(value & opt float (secs d.Server.heartbeat_interval)
+         & info [ "hb-interval" ] ~docv:"S" ~doc)
   in
   let hb_timeout_arg =
     let doc = "Heartbeat silence after which the supervisor declares a \
                worker dead, virtual seconds." in
-    Arg.(value & opt float 0.2 & info [ "hb-timeout" ] ~docv:"S" ~doc)
+    Arg.(value & opt float (secs d.Server.heartbeat_timeout)
+         & info [ "hb-timeout" ] ~docv:"S" ~doc)
   in
   let max_retries_arg =
     let doc = "Worker-death reclaims tolerated per query before failing it." in
-    Arg.(value & opt int 3 & info [ "max-retries" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Server.max_retries
+         & info [ "max-retries" ] ~docv:"N" ~doc)
   in
   let retry_backoff_arg =
     let doc = "Requeue delay after a reclaim, virtual seconds (doubles per \
                subsequent reclaim of the same query)." in
-    Arg.(value & opt float 0.1 & info [ "retry-backoff" ] ~docv:"S" ~doc)
+    Arg.(value & opt float (secs d.Server.retry_backoff)
+         & info [ "retry-backoff" ] ~docv:"S" ~doc)
   in
   let serve_ckpt_dir_arg =
     let doc = "Checkpoint root; each query checkpoints in its own subdirectory \
@@ -1085,7 +1095,8 @@ let serve_cmd =
   let serve_ckpt_every_arg =
     let doc = "Also checkpoint worker runs every $(i,N) consumed source \
                tuples (0 = phase boundaries only)." in
-    Arg.(value & opt int 500 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt int d.Server.checkpoint_every
+         & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
   let class_arg =
     let parse s =
@@ -1132,54 +1143,10 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "results" ] ~docv:"DIR" ~doc)
   in
-  let telemetry_arg =
-    let doc =
-      "Record server telemetry over time into $(i,FILE) (JSONL): one \
-       sample of every metric cell per dispatcher poll on the server's \
-       virtual clock, per-query lifecycle spans, warm-start provenance \
-       edges, and the SLO violation/recovery ledger.  Render the file \
-       with $(b,tukwila top).  Sampling only reads — the reported times \
-       and results are identical with and without it, and repeated \
-       serves of the same script write byte-identical files."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "telemetry" ] ~docv:"FILE" ~doc)
-  in
-  let slo_arg =
-    let parse s =
-      match Adp_obs.Slo.parse s with
-      | Ok o -> Ok o
-      | Error m -> Error (`Msg m)
-    in
-    let print fmt o = Format.pp_print_string fmt (Adp_obs.Slo.to_string o) in
-    let doc =
-      "Declare a service-level objective, evaluated at every telemetry \
-       sample: $(b,NAME=METRIC [AGG] OP BOUND) where $(i,AGG) is one of \
-       $(b,last) (default), $(b,rate), $(b,min), $(b,median), $(b,p95), \
-       $(b,max) over the trailing window, and $(i,OP) is $(b,<), \
-       $(b,<=), $(b,>) or $(b,>=) — e.g. \
-       $(b,depth=adp_server_queue_depth p95 < 8).  Transitions are \
-       recorded in the telemetry ledger, emitted as trace events, and \
-       counted in the $(b,adp_slo_*) metrics.  Repeatable; requires \
-       $(b,--telemetry)."
-    in
-    Arg.(value & opt_all (conv (parse, print)) []
-         & info [ "slo" ] ~docv:"NAME=EXPR" ~doc)
-  in
-  let telemetry_wall_arg =
-    let doc =
-      "Attach a wall-clock shadow to every telemetry sample (through the \
-       sanctioned Wallclock module).  Off by default: wall shadows make \
-       the telemetry file vary across runs, breaking its byte-for-byte \
-       reproducibility."
-    in
-    Arg.(value & flag & info [ "telemetry-wall" ] ~doc)
-  in
   let run script_path scale skew seed cards workers queue_cap poll_min
       poll_max poll_backoff poll_speedup poll_window hb_interval hb_timeout
       max_retries retry_backoff ckpt_dir ckpt_every trace_file metrics_file
-      report_file results_dir classes memory_budget breaker faults
-      telemetry_file slos telemetry_wall =
+      report_file results_dir classes memory_budget breaker faults =
     let script =
       match Server_script.parse_file script_path with
       | Ok s -> s
@@ -1204,16 +1171,6 @@ let serve_cmd =
       | Some _ -> Some (Adp_obs.Metrics.create ())
       | None -> None
     in
-    let telemetry =
-      match telemetry_file with
-      | Some _ -> Some (Adp_obs.Timeseries.create ~slos ())
-      | None ->
-        if slos <> [] then
-          Printf.eprintf "warning: --slo needs --telemetry\n%!";
-        if telemetry_wall then
-          Printf.eprintf "warning: --telemetry-wall needs --telemetry\n%!";
-        None
-    in
     let base = Server.default_config ~checkpoint_dir:ckpt_dir in
     let config =
       { base with
@@ -1227,7 +1184,7 @@ let serve_cmd =
         retry_backoff = retry_backoff *. 1e6; checkpoint_every = ckpt_every;
         class_quotas = classes; memory_budget;
         corrective = { base.Server.corrective with Corrective.breaker };
-        trace; metrics; telemetry; telemetry_wall }
+        trace; metrics }
     in
     let resolver spec =
       let r = Server.tpch_resolver ~with_cardinalities:cards ds spec in
@@ -1248,9 +1205,6 @@ let serve_cmd =
     in
     let finish () =
       Adp_obs.Trace.close trace;
-      (match telemetry_file, telemetry with
-       | Some path, Some ts -> Adp_obs.Timeseries.write ts ~path
-       | _ -> ());
       match metrics_file, metrics with
       | Some path, Some m ->
         let contents =
@@ -1316,7 +1270,7 @@ let serve_cmd =
           $ max_retries_arg $ retry_backoff_arg $ serve_ckpt_dir_arg
           $ serve_ckpt_every_arg $ trace_arg $ metrics_arg $ report_arg
           $ results_arg $ class_arg $ serve_mem_arg $ breaker_arg
-          $ fault_arg $ telemetry_arg $ slo_arg $ telemetry_wall_arg)
+          $ fault_arg)
 
 let server_report_cmd =
   let run path =
@@ -1350,96 +1304,6 @@ let server_report_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"REPORT" ~doc)
   in
   Cmd.v (Cmd.info "server-report" ~doc) Term.(const run $ arg)
-
-(* ---------------- top ---------------- *)
-
-let top_cmd =
-  let run path =
-    match Adp_obs.Timeseries.read path with
-    | Ok doc -> Format.printf "%a" Adp_obs.Timeseries.top doc
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  let doc =
-    "Render a telemetry file written by $(b,tukwila serve --telemetry) \
-     as a text dashboard: per-query span lanes on the server's virtual \
-     clock (submitted/started/reclaimed/finished), a sparkline per \
-     metric series with its trailing-window aggregates, the SLO status \
-     and violation/recovery ledger, and warm-start provenance edges."
-  in
-  let arg =
-    let doc = "The telemetry JSONL file." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TELEMETRY" ~doc)
-  in
-  Cmd.v (Cmd.info "top" ~doc) Term.(const run $ arg)
-
-(* ---------------- bench-history ---------------- *)
-
-let bench_history_cmd =
-  let module Bench_history = Adp_obs.Benchhistory in
-  let run files dir gate time_tol =
-    let failed = ref false in
-    List.iter
-      (fun file ->
-        match Adp_obs.Bjson.load file with
-        | Error m ->
-          Printf.eprintf "%s: %s\n" file m;
-          exit 2
-        | Ok doc -> (
-          match Bench_history.append ~dir doc with
-          | Error m ->
-            Printf.eprintf "%s: %s\n" file m;
-            exit 2
-          | Ok _seq -> (
-            let hist = Bench_history.path ~dir ~bench:doc.Adp_obs.Bjson.bench in
-            match Bench_history.load hist with
-            | Error m ->
-              Printf.eprintf "%s: %s\n" hist m;
-              exit 2
-            | Ok entries ->
-              Format.printf "%a" (fun ppf -> Bench_history.render ppf) entries;
-              if gate then begin
-                let breaches = Bench_history.gate ~time_tol entries in
-                List.iter print_endline breaches;
-                if breaches <> [] then begin
-                  Printf.printf "FAIL %s: %d breach(es) against history\n"
-                    doc.Adp_obs.Bjson.bench (List.length breaches);
-                  failed := true
-                end
-              end)))
-      files;
-    if !failed then exit 1
-  in
-  let doc =
-    "Append freshly produced $(b,BENCH_<id>.json) documents to their \
-     longitudinal histories ($(i,DIR)/<id>.jsonl, one seq-numbered line \
-     per run) and render each cell's trend as a sparkline with \
-     first/last/median values.  With $(b,--gate), the newest run also \
-     gates against its history: $(b,time) cells within $(b,--time-tol) \
-     relative of the $(i,median of the prior runs), $(b,count)/$(b,bool) \
-     cells exactly against the most recent prior run, $(b,wall) cells \
-     never (histories may span machines).  Exits 1 on any breach."
-  in
-  let files_arg =
-    let doc = "BENCH_<id>.json files to append and render." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"BENCH" ~doc)
-  in
-  let dir_arg =
-    let doc = "History directory." in
-    Arg.(value & opt string "bench/history" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
-  let gate_arg =
-    let doc = "Gate the newest run against its history." in
-    Arg.(value & flag & info [ "gate" ] ~doc)
-  in
-  let tol_arg =
-    let doc = "Relative tolerance for time-kind cells vs the history median." in
-    Arg.(value & opt float 0.10 & info [ "time-tol" ] ~docv:"FRAC" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-history" ~doc)
-    Term.(const run $ files_arg $ dir_arg $ gate_arg $ tol_arg)
 
 (* ---------------- bench-diff ---------------- *)
 
@@ -1719,5 +1583,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; explain_cmd; plan_cmd; query_cmd; check_cmd;
-            profile_cmd; flame_cmd; serve_cmd; server_report_cmd; top_cmd;
-            bench_diff_cmd; bench_history_cmd; lint_cmd ]))
+            profile_cmd; flame_cmd; serve_cmd; server_report_cmd;
+            bench_diff_cmd; lint_cmd ]))

@@ -157,21 +157,6 @@ let histogram_quantile h q =
     go 0 0 0.0
   end
 
-(* Point-in-time snapshot of a cell, the read side the telemetry
-   sampler consumes: histograms are collapsed to the count/sum plus the
-   p50/p95/max the dashboards plot, so one reading is a handful of
-   floats however many buckets back it. *)
-type reading =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of {
-      hr_n : int;
-      hr_sum : float;
-      hr_p50 : float;
-      hr_p95 : float;
-      hr_max : float;
-    }
-
 let counter_total t name =
   List.fold_left
     (fun acc e ->
@@ -188,18 +173,6 @@ let sorted t =
       | 0 -> compare a.labels b.labels
       | c -> c)
     t.store.entries
-
-let read_cell = function
-  | Counter c -> Counter_v c.c
-  | Gauge g -> Gauge_v g.g
-  | Histogram h ->
-    Histogram_v
-      { hr_n = h.h_n; hr_sum = h.h_sum;
-        hr_p50 = histogram_quantile h 0.5;
-        hr_p95 = histogram_quantile h 0.95; hr_max = histogram_max h }
-
-let readings t =
-  List.map (fun e -> (e.name, e.labels, read_cell e.cell)) (sorted t)
 
 let to_json t =
   let labels_json labels =

@@ -92,28 +92,6 @@ val histogram_quantile : histogram -> float -> float
 (** Sum of all counter cells with this name (any labels); 0 when none. *)
 val counter_total : t -> string -> int
 
-(** {2 Snapshots}
-
-    A point-in-time read of one cell: histograms collapse to count/sum
-    plus the p50/p95/max estimates the telemetry layer plots, so a
-    reading is a handful of floats however many buckets back it. *)
-
-type reading =
-  | Counter_v of int
-  | Gauge_v of float
-  | Histogram_v of {
-      hr_n : int;
-      hr_sum : float;
-      hr_p50 : float;
-      hr_p95 : float;
-      hr_max : float;
-    }
-
-(** Every live cell of the whole store in dump order (sorted by name,
-    then labels) — the deterministic iteration the time-series sampler
-    is built on. *)
-val readings : t -> (string * (string * string) list * reading) list
-
 (** {2 Dumps} *)
 
 val to_json : t -> Json.t

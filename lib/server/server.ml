@@ -5,8 +5,6 @@ module Corrective = Adp_core.Corrective
 module Diagnostic = Adp_analysis.Diagnostic
 module Trace = Adp_obs.Trace
 module Metrics = Adp_obs.Metrics
-module Timeseries = Adp_obs.Timeseries
-module Slo = Adp_obs.Slo
 module Json = Adp_obs.Json
 module Selectivity = Adp_stats.Selectivity
 module Checkpoint = Adp_recovery.Checkpoint
@@ -30,8 +28,6 @@ type config = {
   corrective : Corrective.config;
   trace : Trace.t;
   metrics : Metrics.t option;
-  telemetry : Timeseries.t option;
-  telemetry_wall : bool;
 }
 
 let default_config ~checkpoint_dir =
@@ -42,8 +38,7 @@ let default_config ~checkpoint_dir =
     corrective =
       { Corrective.default_config with poll_interval = 2e4;
         min_leaf_seen = 200; switch_threshold = 0.8 };
-    trace = Trace.null; metrics = None; telemetry = None;
-    telemetry_wall = false }
+    trace = Trace.null; metrics = None }
 
 let validate cfg =
   let bad fmt = Diagnostic.errorf ~path:"server" fmt in
@@ -150,7 +145,7 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Internal state                                                     *)
+(* Run state                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything an in-flight attempt needs to be re-executed bit-identically
@@ -192,7 +187,6 @@ type job = {
   mutable j_outcome : outcome option;
   mutable j_finished : float;
   mutable j_warm_sigs : int;
-  mutable j_warm_list : string list;  (* the inherited signatures *)
   mutable j_warm_changed : bool;
 }
 
@@ -202,12 +196,48 @@ type ev =
   | E_cancel of string
   | E_drain
   | E_poll
-  | E_complete of string * int
-  | E_death of string * int
+  | E_complete of job * int
+  | E_death of job * int
 
-(* ------------------------------------------------------------------ *)
-(* The run                                                            *)
-(* ------------------------------------------------------------------ *)
+(* What a serve fixes before its first event: the knobs, the resolver
+   and the server's own metric cells. *)
+type env = {
+  config : config;
+  resolver : resolver;
+  metrics : Metrics.t;
+  depth_g : Metrics.gauge;
+  interval_g : Metrics.gauge;
+  alive_g : Metrics.gauge;
+  done_c : Metrics.counter;
+  failed_c : Metrics.counter;
+  cancelled_c : Metrics.counter;
+  rejected_c : Metrics.counter;
+  polls_c : Metrics.counter;
+  reclaims_c : Metrics.counter;
+  shed_c : Metrics.counter;
+}
+
+(* The state the named steps advance. *)
+type t = {
+  env : env;
+  pc : Poll_controller.t;
+  jobs : (string, job) Hashtbl.t;
+  workers : (int, string option) Hashtbl.t;  (* worker -> running query *)
+  shared : Selectivity.t;  (* cross-query selectivity store *)
+  mutable heap : (float * int * ev) list;  (* sorted by (time, seq) *)
+  mutable seq : int;
+  mutable order : job list;  (* newest submission first *)
+  mutable waiting : job list;  (* queued jobs, submission order *)
+  mutable draining : bool;
+  mutable next_worker : int;  (* workers spawned so far *)
+  mutable died : int;  (* each death reclaims its query *)
+  mutable sheds : int;
+  mutable polls : int;
+  mutable busy_polls : int;
+  mutable min_seen : float;
+  mutable max_seen : float;
+  mutable now : float;
+}
 
 let ckpt_files dir =
   if Sys.file_exists dir && Sys.is_directory dir then
@@ -216,6 +246,12 @@ let ckpt_files dir =
     |> List.filter (fun f -> Filename.check_suffix f ".adpckpt")
     |> List.sort String.compare
   else []
+
+(* Remove a query's checkpoint files, except those named in [keep]. *)
+let clear_checkpoints ?(keep = []) dir =
+  List.iter
+    (fun f -> if not (List.mem f keep) then Sys.remove (Filename.concat dir f))
+    (ckpt_files dir)
 
 let latest_clock dir ~base =
   match Checkpoint.latest ~dir with
@@ -233,641 +269,519 @@ let rec subsets = function
 
 let plan_desc spec = Format.asprintf "%a" Plan.pp_spec spec
 
-let run config resolver script =
+let failure_msg where diags =
+  Printf.sprintf "%s: %s" where (String.trim (Diagnostic.to_string diags))
+
+let job_dir st job = Filename.concat st.env.config.checkpoint_dir job.j_id
+let traced st = Trace.enabled st.env.config.trace
+
+let emit st ?(at = st.now) ev =
+  if traced st then Trace.emit st.env.config.trace ~at ev
+
+(* Event heap: a sorted association list is plenty at workload scale;
+   the sequence number keeps equal-time events in insertion order. *)
+let schedule st at ev =
+  st.seq <- st.seq + 1;
+  let seq = st.seq in
+  let rec ins = function
+    | [] -> [ (at, seq, ev) ]
+    | ((t, s, _) as hd) :: tl ->
+      if t < at || (t = at && s < seq) then hd :: ins tl
+      else (at, seq, ev) :: hd :: tl
+  in
+  st.heap <- ins st.heap
+
+let set_depth st =
+  Metrics.set st.env.depth_g (float_of_int (List.length st.waiting))
+
+let enqueue st job =
+  st.waiting <- st.waiting @ [ job ];
+  set_depth st
+
+let dequeue st job =
+  st.waiting <- List.filter (fun j -> j != job) st.waiting;
+  set_depth st
+
+let set_alive st =
+  Metrics.set st.env.alive_g (float_of_int (Hashtbl.length st.workers))
+
+let spawn_worker st =
+  st.next_worker <- st.next_worker + 1;
+  Hashtbl.replace st.workers st.next_worker None;
+  set_alive st;
+  emit st (Trace.Worker_spawned { worker = st.next_worker })
+
+let finish st job outcome =
+  job.j_state <- Terminal;
+  job.j_outcome <- Some outcome;
+  job.j_finished <- st.now;
+  job.j_params <- None;
+  job.j_pending <- None;
+  Metrics.incr
+    (match outcome with
+     | Done _ -> st.env.done_c
+     | Failed _ -> st.env.failed_c
+     | Cancelled -> st.env.cancelled_c
+     | Rejected _ -> st.env.rejected_c)
+
+let admission st job ~accepted reason =
+  emit st
+    (Trace.Admission
+       { query = job.j_id; accepted; queue_depth = List.length st.waiting;
+         reason })
+
+let reject st job reason =
+  admission st job ~accepted:false reason;
+  finish st job (Rejected reason)
+
+(* Each re-stamped block is preceded by a [Query_attempt] marker
+   carrying its length, which is what lets [tukwila explain] group a
+   serve trace into per-query lanes. *)
+let emit_shifted st job (params : attempt) events =
+  if traced st && events <> [] then begin
+    emit st ~at:params.a_t0
+      (Trace.Query_attempt
+         { query = job.j_id; attempt = job.j_attempts;
+           worker = params.a_worker; events = List.length events });
+    List.iter
+      (fun (ts, ev) ->
+        emit st ~at:(params.a_t0 +. Float.max 0.0 (ts -. params.a_base)) ev)
+      events
+  end
+
+(* Priority rank of a class: its position in [class_quotas] (earlier =
+   higher priority); unclassified work dispatches after every class. *)
+let class_rank config klass =
+  match klass with
+  | None -> max_int
+  | Some c ->
+    let rec idx i = function
+      | [] -> max_int
+      | (n, _) :: tl -> if n = c then i else idx (i + 1) tl
+    in
+    idx 0 config.class_quotas
+
+(* ------------------------------------------------------------------ *)
+(* Steps                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Bring the pool up at time zero, enqueue the script and start the
+   dispatcher polling. *)
+let boot config resolver script =
   Diagnostic.raise_if_errors ~where:"server" (validate config);
-  let trace_on = Trace.enabled config.trace in
-  let emit ~at ev = if trace_on then Trace.emit config.trace ~at ev in
   let metrics =
     match config.metrics with Some m -> m | None -> Metrics.create ()
   in
-  let depth_g =
-    Metrics.gauge metrics ~help:"waiting queries" "adp_server_queue_depth"
-  in
-  let interval_g =
-    Metrics.gauge metrics ~help:"dispatcher poll interval (virtual s)"
-      "adp_server_poll_interval_seconds"
-  in
-  let alive_g =
-    Metrics.gauge metrics ~help:"live pool workers" "adp_server_workers_alive"
-  in
+  let gauge help name = Metrics.gauge metrics ~help name in
+  let counter help name = Metrics.counter metrics ~help name in
   let outcome_c name =
     Metrics.counter metrics
       ~labels:[ ("outcome", name) ]
       ~help:"queries by final outcome" "adp_server_queries_total"
   in
-  let done_c = outcome_c "done"
-  and failed_c = outcome_c "failed"
-  and cancelled_c = outcome_c "cancelled"
-  and rejected_c = outcome_c "rejected" in
-  let polls_c =
-    Metrics.counter metrics ~help:"dispatcher polls" "adp_server_polls_total"
+  let depth_g = gauge "waiting queries" "adp_server_queue_depth" in
+  let interval_g =
+    gauge "dispatcher poll interval (virtual s)"
+      "adp_server_poll_interval_seconds"
   in
+  let alive_g = gauge "live pool workers" "adp_server_workers_alive" in
+  let done_c = outcome_c "done" in
+  let failed_c = outcome_c "failed" in
+  let cancelled_c = outcome_c "cancelled" in
+  let rejected_c = outcome_c "rejected" in
+  let polls_c = counter "dispatcher polls" "adp_server_polls_total" in
   let reclaims_c =
-    Metrics.counter metrics ~help:"queries reclaimed from dead workers"
-      "adp_server_reclaims_total"
+    counter "queries reclaimed from dead workers" "adp_server_reclaims_total"
   in
   let shed_c =
-    Metrics.counter metrics
-      ~help:"queued queries shed because their deadline passed"
+    counter "queued queries shed because their deadline passed"
       "adp_server_shed_total"
   in
-  (* SLO families are registered up front, one labelled cell per declared
-     objective, so their series exist from the first telemetry sample. *)
-  let slo_cells =
-    match config.telemetry with
-    | None -> []
-    | Some ts ->
-      List.map
-        (fun (o : Slo.objective) ->
-          let labels = [ ("slo", o.Slo.o_name) ] in
-          ( o.Slo.o_name,
-            ( Metrics.counter metrics ~labels
-                ~help:"SLO violation transitions" "adp_slo_violations_total",
-              Metrics.counter metrics ~labels
-                ~help:"SLO recovery transitions" "adp_slo_recoveries_total",
-              Metrics.gauge metrics ~labels
-                ~help:"1 while the SLO is in violation" "adp_slo_active" ) ))
-        (Timeseries.objectives ts)
+  let st =
+    { env =
+        { config; resolver; metrics; depth_g; interval_g; alive_g; done_c;
+          failed_c; cancelled_c; rejected_c; polls_c; reclaims_c; shed_c };
+      pc = Poll_controller.create config.poll; jobs = Hashtbl.create 32;
+      workers = Hashtbl.create 8; shared = Selectivity.create (); heap = [];
+      seq = 0; order = []; waiting = []; draining = false; next_worker = 0;
+      died = 0; sheds = 0; polls = 0; busy_polls = 0; min_seen = infinity;
+      max_seen = 0.0; now = 0.0 }
   in
-  (* Event heap: a sorted association list is plenty at workload scale;
-     the sequence number keeps equal-time events in insertion order. *)
-  let heap : (float * int * ev) list ref = ref [] in
-  let seq = ref 0 in
-  let schedule at ev =
-    incr seq;
-    let rec ins = function
-      | [] -> [ (at, !seq, ev) ]
-      | ((t, s, _) as hd) :: tl ->
-        if t < at || (t = at && s < !seq) then hd :: ins tl
-        else (at, !seq, ev) :: hd :: tl
-    in
-    heap := ins !heap
-  in
-  (* State. *)
-  let jobs : (string, job) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  let waiting = ref [] in
-  let draining = ref false in
-  let shared = Selectivity.create () in
-  let workers : (int, string option) Hashtbl.t = Hashtbl.create 8 in
-  let next_worker = ref 0 in
-  let spawned = ref 0 and died = ref 0 and reclaims = ref 0 in
-  let sheds = ref 0 in
-  let polls = ref 0 and busy_polls = ref 0 in
-  let min_seen = ref infinity and max_seen = ref 0.0 in
-  let now = ref 0.0 in
-  let spawn_worker () =
-    incr next_worker;
-    incr spawned;
-    Hashtbl.replace workers !next_worker None;
-    Metrics.set alive_g (float_of_int (Hashtbl.length workers));
-    emit ~at:!now (Trace.Worker_spawned { worker = !next_worker });
-    !next_worker
-  in
-  let pc = Poll_controller.create config.poll in
-  let job_dir job = Filename.concat config.checkpoint_dir job.j_id in
-  let set_depth () =
-    Metrics.set depth_g (float_of_int (List.length !waiting))
-  in
-  (* Telemetry journal hooks: pure appends to the recorder, never touching
-     the clock or the heap. *)
-  let record_span job state ?worker ?attempt () =
-    match config.telemetry with
-    | None -> ()
-    | Some ts ->
-      Timeseries.span ts ~at_s:(!now /. 1e6) ~query:job.j_id ~state ?worker
-        ?attempt ()
-  in
-  let finish job outcome =
-    job.j_state <- Terminal;
-    job.j_outcome <- Some outcome;
-    job.j_finished <- !now;
-    record_span job
-      (match outcome with
-       | Done _ -> "done"
-       | Failed _ -> "failed"
-       | Cancelled -> "cancelled"
-       | Rejected _ -> "rejected")
-      ?worker:(Option.map (fun p -> p.a_worker) job.j_params)
-      ~attempt:job.j_attempts ();
-    job.j_params <- None;
-    job.j_pending <- None;
-    Metrics.incr
-      (match outcome with
-       | Done _ -> done_c
-       | Failed _ -> failed_c
-       | Cancelled -> cancelled_c
-       | Rejected _ -> rejected_c)
-  in
-  (* Each re-stamped block is preceded by a [Query_attempt] marker
-     carrying its length, which is what lets [tukwila explain] group a
-     serve trace into per-query lanes. *)
-  let emit_shifted job (params : attempt) events =
-    if trace_on && events <> [] then begin
-      emit ~at:params.a_t0
-        (Trace.Query_attempt
-           { query = job.j_id; attempt = job.j_attempts;
-             worker = params.a_worker; events = List.length events });
-      List.iter
-        (fun (ts, ev) ->
-          emit ~at:(params.a_t0 +. Float.max 0.0 (ts -. params.a_base)) ev)
-        events
-    end
-  in
-  (* Warm-start evidence: how many of the shared store's selectivity
-     signatures match a connected subexpression of this query, and
-     whether that evidence flips the optimizer's initial plan.  Both go
-     through the estimator only, which never touches any clock. *)
-  let warm_start job (r : resolved) seed =
-    let names = Logical.source_names r.r_query in
-    let sigs =
-      subsets names
-      |> List.filter (fun s -> s <> [] && Logical.connected r.r_query s)
-      |> List.map (Logical.signature_of_set r.r_query)
-      |> List.sort_uniq String.compare
-    in
-    let known sg =
-      List.mem_assoc sg seed.Selectivity.d_sels
-      || List.mem_assoc sg seed.Selectivity.d_outs
-    in
-    job.j_warm_list <- List.filter known sigs;
-    job.j_warm_sigs <- List.length job.j_warm_list;
-    if job.j_warm_sigs > 0 then begin
-      let cc = config.corrective in
-      let plan_under sels =
-        plan_desc
-          (Optimizer.optimize ~preagg:cc.Corrective.preagg
-             ~costs:cc.Corrective.costs r.r_query r.r_catalog sels)
-            .Optimizer.spec
-      in
-      match
-        plan_under (Selectivity.create ()) <> plan_under (Selectivity.load seed)
-      with
-      | changed -> job.j_warm_changed <- changed
-      | exception _ -> job.j_warm_changed <- false
-    end
-  in
-  (* Execute one attempt eagerly through the ordinary corrective entry
-     point; the outcome is parked on the job and surfaces when the
-     server clock reaches the completion/detection event. *)
-  let execute job (params : attempt) ~crash =
-    let r = Option.get job.j_resolved in
-    let dir = job_dir job in
-    let qm = Metrics.with_labels metrics [ ("query", job.j_id) ] in
-    (* Drop cells of a discarded or reclaimed prior attempt: the cells
-       left behind equal what a single fresh process would have
-       produced, and the store stays bounded per query. *)
-    Metrics.prune qm;
-    let inner = if trace_on then Trace.memory () else Trace.null in
-    let policy =
-      Checkpoint.policy
-        ?every_tuples:
-          (if config.checkpoint_every > 0 then Some config.checkpoint_every
-           else None)
-        ~dir ()
-    in
-    (* Map the job's absolute server-clock deadline onto the attempt's
-       inner clock (which starts at the resume point [a_base]): the run
-       must stop when server time reaches the deadline, i.e. when its own
-       clock reaches [a_base + (deadline - a_t0)]. *)
-    let deadline =
-      match job.j_deadline with
-      | Some dl -> Some (params.a_base +. Float.max 0.0 (dl -. params.a_t0))
-      | None -> config.corrective.Corrective.deadline
-    in
-    (* The global memory budget is partitioned evenly across the pool:
-       every worker pages under its slice regardless of what its
-       neighbours run, so one heavy query cannot starve the others. *)
-    let memory_budget =
-      match config.memory_budget with
-      | Some b -> Some (max 1 (b / config.workers))
-      | None -> config.corrective.Corrective.memory_budget
-    in
-    let cc =
-      { config.corrective with
-        Corrective.checkpoint = Some policy; resume_from = params.a_resume;
-        crash; stats_seed = Some params.a_seed; deadline; memory_budget }
-    in
-    match
-      Corrective.run ~config:cc ~trace:inner ~metrics:qm r.r_query r.r_catalog
-        (r.r_sources ())
-    with
-    | result, stats ->
-      (* determinism-ok: draining the job's own capture trace ([] when
-         tracing is off) into the reply, not back into execution *)
-      job.j_pending <- Some (P_done (result, stats, Trace.events inner));
-      schedule
-        (params.a_t0
-        +. Float.max 0.0 (stats.Corrective.total_time -. params.a_base))
-        (E_complete (job.j_id, job.j_gen))
-    | exception Crash.Crashed msg ->
-      (* The worker died at the virtual moment of its last checkpoint (the
-         best deterministic anchor the survivors can ever learn); its last
-         heartbeat is the latest beat before that, and the supervisor
-         notices one heartbeat-timeout later. *)
-      let death_off =
-        match latest_clock dir ~base:params.a_base with
-        | Some s_now -> s_now -. params.a_base
-        | None -> 0.0
-      in
-      let death_at = params.a_t0 +. death_off in
-      let hb = config.heartbeat_interval in
-      let beats = Float.of_int (int_of_float (death_off /. hb)) in
-      let last_hb = params.a_t0 +. (beats *. hb) in
-      job.j_pending <-
-        (* determinism-ok: draining the job's own capture trace into the
-           crash record, not back into execution *)
-        Some (P_crashed { last_hb; msg; events = Trace.events inner });
-      ignore death_at;
-      schedule (last_hb +. config.heartbeat_timeout)
-        (E_death (job.j_id, job.j_gen))
-    | exception Diagnostic.Failed (where, diags) ->
-      job.j_pending <-
-        Some
-          (P_error
-             ( Printf.sprintf "%s: %s" where
-                 (String.trim (Diagnostic.to_string diags)),
-               (* determinism-ok: draining the job's own capture trace into
-                  the error record, not back into execution *)
-               Trace.events inner ));
-      schedule params.a_t0 (E_complete (job.j_id, job.j_gen))
-  in
-  let start_attempt job worker =
-    let dir = job_dir job in
-    if job.j_attempts = 0 then
-      (* a previous server run's checkpoints must not leak into this one *)
-      List.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (ckpt_files dir);
-    let resume =
-      if job.j_failures > 0 && Checkpoint.latest ~dir <> None then Some dir
-      else None
-    in
-    let base =
-      match resume with
-      | None -> 0.0
-      | Some _ -> (
-        match latest_clock dir ~base:0.0 with Some s -> s | None -> 0.0)
-    in
-    let seed = Selectivity.dump shared in
-    if job.j_attempts = 0 then begin
-      Option.iter (fun r -> warm_start job r seed) job.j_resolved;
-      (* Warm-start provenance edge: which inherited signatures fed this
-         query's initial plan. *)
-      match config.telemetry with
-      | Some ts when job.j_warm_list <> [] ->
-        Timeseries.provenance ts ~at_s:(!now /. 1e6) ~query:job.j_id
-          ~signatures:job.j_warm_list
-      | _ -> ()
-    end;
-    job.j_attempts <- job.j_attempts + 1;
-    job.j_gen <- job.j_gen + 1;
-    job.j_state <- Running;
-    record_span job "started" ~worker ~attempt:job.j_attempts ();
-    Hashtbl.replace workers worker (Some job.j_id);
-    let params =
-      { a_worker = worker; a_t0 = !now; a_base = base; a_resume = resume;
-        a_seed = seed; a_snapshot = ckpt_files dir }
-    in
-    job.j_params <- Some params;
-    let crash =
-      match job.j_armed with
-      | [] -> []
-      | p :: tl ->
-        job.j_armed <- tl;
-        [ p ]
-    in
-    execute job params ~crash
-  in
-  let reject job reason =
-    emit ~at:!now
-      (Trace.Admission
-         { query = job.j_id; accepted = false;
-           queue_depth = List.length !waiting; reason });
-    finish job (Rejected reason)
-  in
-  (* Priority rank of a class: its position in [class_quotas] (earlier =
-     higher priority); unclassified work dispatches after every class. *)
-  let class_rank klass =
-    match klass with
-    | None -> max_int
-    | Some c ->
-      let rec idx i = function
-        | [] -> max_int
-        | (n, _) :: tl -> if n = c then i else idx (i + 1) tl
-      in
-      idx 0 config.class_quotas
-  in
-  let waiting_in_class c =
-    List.length
-      (List.filter
-         (fun qid ->
-           match Hashtbl.find_opt jobs qid with
-           | Some j -> j.j_class = Some c
-           | None -> false)
-         !waiting)
-  in
-  let handle = function
-    | E_submit (qid, spec, klass, deadline_s) ->
-      let resolved, resolve_error =
-        match resolver spec with
-        | r -> (Some r, None)
-        | exception Diagnostic.Failed (where, diags) ->
-          ( None,
-            Some
-              (Printf.sprintf "%s: %s" where
-                 (String.trim (Diagnostic.to_string diags))) )
-      in
-      let job =
-        { j_id = qid; j_spec = spec; j_class = klass;
-          j_deadline = Option.map (fun d -> !now +. (d *. 1e6)) deadline_s;
-          j_resolved = resolved;
-          j_submitted = !now; j_state = Queued; j_attempts = 0;
-          j_failures = 0; j_not_before = !now; j_armed = []; j_gen = 0;
-          j_params = None; j_pending = None; j_outcome = None;
-          j_finished = !now; j_warm_sigs = 0; j_warm_list = [];
-          j_warm_changed = false }
-      in
-      Hashtbl.replace jobs qid job;
-      order := qid :: !order;
-      record_span job "submitted" ();
-      let quota_full =
-        match klass with
-        | Some c -> (
-          match List.assoc_opt c config.class_quotas with
-          | Some quota -> waiting_in_class c >= quota
-          | None -> false)
-        | None -> false
-      in
-      if !draining then reject job "draining"
-      else if
-        (match klass with
-         | Some c -> not (List.mem_assoc c config.class_quotas)
-         | None -> false)
-      then
-        reject job
-          (Printf.sprintf "unknown-class:%s" (Option.get klass))
-      else if List.length !waiting >= config.queue_capacity then
-        reject job "queue-full"
-      else if quota_full then
-        reject job
-          (Printf.sprintf "class-quota:%s" (Option.get klass))
-      else begin
-        match resolve_error with
-        | Some msg ->
-          emit ~at:!now
-            (Trace.Admission
-               { query = qid; accepted = true;
-                 queue_depth = List.length !waiting; reason = "" });
-          finish job (Failed msg)
-        | None ->
-          waiting := !waiting @ [ qid ];
-          set_depth ();
-          emit ~at:!now
-            (Trace.Admission
-               { query = qid; accepted = true;
-                 queue_depth = List.length !waiting; reason = "" })
-      end
-    | E_kill (qid, point) -> (
-      match Hashtbl.find_opt jobs qid with
-      | None -> ()
-      | Some job -> (
-        match job.j_state with
-        | Queued -> job.j_armed <- job.j_armed @ [ point ]
-        | Terminal -> ()
-        | Running -> (
-          match job.j_pending with
-          | Some (P_done _) -> (
-            (* The in-flight attempt would have completed; replay it with
-               the crash armed.  Same seed, same resume point, same
-               checkpoint dir state: deterministic. *)
-            match job.j_params with
-            | None -> job.j_armed <- job.j_armed @ [ point ]
-            | Some params ->
-              job.j_gen <- job.j_gen + 1;
-              let dir = job_dir job in
-              List.iter
-                (fun f ->
-                  if not (List.mem f params.a_snapshot) then
-                    Sys.remove (Filename.concat dir f))
-                (ckpt_files dir);
-              execute job params ~crash:[ point ])
-          | Some (P_error _) | Some (P_crashed _) | None ->
-            (* already failing or already dying; arm for a later attempt *)
-            job.j_armed <- job.j_armed @ [ point ])))
-    | E_cancel qid -> (
-      match Hashtbl.find_opt jobs qid with
-      | Some job when job.j_state = Queued ->
-        waiting := List.filter (fun id -> id <> qid) !waiting;
-        set_depth ();
-        finish job Cancelled
-      | Some _ | None -> ())
-    | E_drain -> draining := true
-    | E_complete (qid, gen) -> (
-      match Hashtbl.find_opt jobs qid with
-      | Some job when job.j_gen = gen -> (
-        let params = Option.get job.j_params in
-        Hashtbl.replace workers params.a_worker None;
-        match job.j_pending with
-        | Some (P_done (result, stats, events)) ->
-          emit_shifted job params events;
-          (* publish what this run learned only now, at its completion
-             event: a later-starting attempt must not see statistics from
-             a run that (on the server clock) had not finished yet *)
-          Selectivity.absorb shared stats.Corrective.learned;
-          finish job (Done { result; stats })
-        | Some (P_error (msg, events)) ->
-          emit_shifted job params events;
-          finish job (Failed msg)
-        | Some (P_crashed _) | None -> ())
-      | Some _ | None -> ())
-    | E_death (qid, gen) -> (
-      match Hashtbl.find_opt jobs qid with
-      | Some job when job.j_gen = gen -> (
-        match (job.j_pending, job.j_params) with
-        | Some (P_crashed { last_hb; msg; events }), Some params ->
-          emit_shifted job params events;
-          let w = params.a_worker in
-          Hashtbl.remove workers w;
-          incr died;
-          Metrics.set alive_g (float_of_int (Hashtbl.length workers));
-          emit ~at:!now
-            (Trace.Worker_died
-               { worker = w; query = qid; last_heartbeat_s = last_hb /. 1e6 });
-          let dir = job_dir job in
-          let resume_from =
-            match Checkpoint.latest ~dir with Some _ -> dir | None -> ""
-          in
-          emit ~at:!now
-            (Trace.Worker_reclaimed
-               { worker = w; query = qid; attempt = job.j_attempts;
-                 resume_from });
-          incr reclaims;
-          Metrics.incr reclaims_c;
-          record_span job "reclaimed" ~worker:w ~attempt:job.j_attempts ();
-          ignore (spawn_worker ());
-          job.j_failures <- job.j_failures + 1;
-          job.j_params <- None;
-          job.j_pending <- None;
-          if job.j_failures > config.max_retries then
-            finish job
-              (Failed
-                 (Printf.sprintf
-                    "retry budget exhausted after %d attempts (last: %s)"
-                    job.j_attempts msg))
-          else begin
-            job.j_state <- Queued;
-            job.j_not_before <-
-              !now
-              +. config.retry_backoff
-                 *. (2.0 ** float_of_int (job.j_failures - 1));
-            waiting := !waiting @ [ qid ];
-            set_depth ()
-          end
-        | _ -> ())
-      | Some _ | None -> ())
-    | E_poll ->
-      (* Deadline shedding: queued work whose deadline already passed can
-         only waste a worker — drop it now rather than dispatch it. *)
-      List.iter
-        (fun qid ->
-          match Hashtbl.find_opt jobs qid with
-          | Some job
-            when (match job.j_deadline with
-                  | Some dl -> dl <= !now
-                  | None -> false) ->
-            waiting := List.filter (fun id -> id <> qid) !waiting;
-            incr sheds;
-            Metrics.incr shed_c;
-            reject job "deadline-shed"
-          | Some _ | None -> ())
-        !waiting;
-      let ready =
-        List.filter
-          (fun qid ->
-            match Hashtbl.find_opt jobs qid with
-            | Some job -> job.j_not_before <= !now
-            | None -> false)
-          !waiting
-        (* Class priority decides dispatch order; FIFO breaks ties (the
-           sort is stable and [waiting] is in submission order). *)
-        |> List.stable_sort (fun a b ->
-               let rank qid =
-                 match Hashtbl.find_opt jobs qid with
-                 | Some j -> class_rank j.j_class
-                 | None -> max_int
-               in
-               compare (rank a) (rank b))
-      in
-      let idle =
-        Hashtbl.fold (fun w s acc -> if s = None then w :: acc else acc)
-          workers []
-        |> List.sort compare
-      in
-      let rec assign ws qs =
-        match (ws, qs) with
-        | w :: ws', qid :: qs' ->
-          waiting := List.filter (fun id -> id <> qid) !waiting;
-          start_attempt (Hashtbl.find jobs qid) w;
-          assign ws' qs'
-        | _ -> ()
-      in
-      assign idle ready;
-      set_depth ();
-      let found = List.length ready in
-      incr polls;
-      if found > 0 then incr busy_polls;
-      Metrics.incr polls_c;
-      let before = Poll_controller.interval pc in
-      let interval = Poll_controller.record pc ~found in
-      if interval < !min_seen then min_seen := interval;
-      if interval > !max_seen then max_seen := interval;
-      Metrics.set interval_g (interval /. 1e6);
-      if interval <> before then
-        emit ~at:!now
-          (Trace.Poll_interval_changed
-             { from_s = before /. 1e6; to_s = interval /. 1e6; found });
-      (* Telemetry sampling rides the dispatcher: exactly one sample per
-         poll, stamped with the server's virtual clock.  Sampling only
-         reads the registry, so the serve is bit-identical with or
-         without it; the optional wall shadow goes through the one
-         sanctioned Wallclock module and is off by default because it
-         (by design) varies across runs. *)
-      (match config.telemetry with
-       | None -> ()
-       | Some ts ->
-         let wall_s =
-           if config.telemetry_wall then
-             Some (Adp_obs.Wallclock.monotonic_s ())
-           else None
-         in
-         let transitions =
-           Timeseries.sample ts ~now_s:(!now /. 1e6) ?wall_s metrics
-         in
-         List.iter
-           (fun (tr : Slo.transition) ->
-             let o = tr.Slo.t_objective in
-             emit ~at:!now
-               (if tr.Slo.t_violated then
-                  Trace.Slo_violation
-                    { slo = o.Slo.o_name; metric = o.Slo.o_metric;
-                      agg = Slo.agg_name o.Slo.o_agg;
-                      op = Slo.op_name o.Slo.o_op; value = tr.Slo.t_value;
-                      bound = o.Slo.o_bound }
-                else
-                  Trace.Slo_recovered
-                    { slo = o.Slo.o_name; metric = o.Slo.o_metric;
-                      agg = Slo.agg_name o.Slo.o_agg;
-                      op = Slo.op_name o.Slo.o_op; value = tr.Slo.t_value;
-                      bound = o.Slo.o_bound });
-             match List.assoc_opt o.Slo.o_name slo_cells with
-             | None -> ()
-             | Some (viol_c, recov_c, active_g) ->
-               if tr.Slo.t_violated then begin
-                 Metrics.incr viol_c;
-                 Metrics.set active_g 1.0
-               end
-               else begin
-                 Metrics.incr recov_c;
-                 Metrics.set active_g 0.0
-               end)
-           transitions);
-      let busy_worker =
-        Hashtbl.fold (fun _ s acc -> acc || s <> None) workers false
-      in
-      if !waiting <> [] || busy_worker || !heap <> [] then
-        schedule (!now +. interval) E_poll
-  in
-  (* Boot: the pool comes up at time zero, the script is enqueued, and
-     the dispatcher starts polling. *)
   for _ = 1 to config.workers do
-    ignore (spawn_worker ())
+    spawn_worker st
   done;
   List.iter
     (fun (at_s, d) ->
       let at = at_s *. 1e6 in
       match d with
       | Script.Submit { qid; spec; klass; deadline_s } ->
-        schedule at (E_submit (qid, spec, klass, deadline_s))
-      | Script.Kill { qid; point } -> schedule at (E_kill (qid, point))
-      | Script.Cancel qid -> schedule at (E_cancel qid)
-      | Script.Drain -> schedule at E_drain)
+        schedule st at (E_submit (qid, spec, klass, deadline_s))
+      | Script.Kill { qid; point } -> schedule st at (E_kill (qid, point))
+      | Script.Cancel qid -> schedule st at (E_cancel qid)
+      | Script.Drain -> schedule st at E_drain)
     script;
-  schedule 0.0 E_poll;
-  let rec loop () =
-    match !heap with
-    | [] -> ()
-    | (at, _, ev) :: rest ->
-      heap := rest;
-      now := Float.max !now at;
-      handle ev;
-      loop ()
+  schedule st 0.0 E_poll;
+  st
+
+(* [E_submit]: resolve the spec and admit the query to the waiting
+   queue, or reject it (draining, unknown class, queue or class quota
+   full).  A spec that does not resolve is admitted and failed at once. *)
+let admit st qid spec klass deadline_s =
+  let config = st.env.config in
+  let resolved, resolve_error =
+    match st.env.resolver spec with
+    | r -> (Some r, None)
+    | exception Diagnostic.Failed (where, diags) ->
+      (None, Some (failure_msg where diags))
   in
-  loop ();
+  let job =
+    { j_id = qid; j_spec = spec; j_class = klass;
+      j_deadline = Option.map (fun d -> st.now +. (d *. 1e6)) deadline_s;
+      j_resolved = resolved; j_submitted = st.now; j_state = Queued;
+      j_attempts = 0; j_failures = 0; j_not_before = st.now; j_armed = [];
+      j_gen = 0; j_params = None; j_pending = None; j_outcome = None;
+      j_finished = st.now; j_warm_sigs = 0; j_warm_changed = false }
+  in
+  Hashtbl.replace st.jobs qid job;
+  st.order <- job :: st.order;
+  let quota_full c =
+    match List.assoc_opt c config.class_quotas with
+    | Some quota ->
+      List.length (List.filter (fun j -> j.j_class = Some c) st.waiting)
+      >= quota
+    | None -> false
+  in
+  match klass with
+  | _ when st.draining -> reject st job "draining"
+  | Some c when not (List.mem_assoc c config.class_quotas) ->
+    reject st job ("unknown-class:" ^ c)
+  | _ when List.length st.waiting >= config.queue_capacity ->
+    reject st job "queue-full"
+  | Some c when quota_full c -> reject st job ("class-quota:" ^ c)
+  | _ -> (
+    match resolve_error with
+    | Some msg ->
+      admission st job ~accepted:true "";
+      finish st job (Failed msg)
+    | None ->
+      enqueue st job;
+      admission st job ~accepted:true "")
+
+(* Warm-start evidence: how many of the shared store's selectivity
+   signatures match a connected subexpression of this query, and
+   whether that evidence flips the optimizer's initial plan.  Both go
+   through the estimator only, which never touches any clock. *)
+let warm_start config job (r : resolved) seed =
+  let names = Logical.source_names r.r_query in
+  let known sg =
+    List.mem_assoc sg seed.Selectivity.d_sels
+    || List.mem_assoc sg seed.Selectivity.d_outs
+  in
+  job.j_warm_sigs <-
+    subsets names
+    |> List.filter (fun s -> s <> [] && Logical.connected r.r_query s)
+    |> List.map (Logical.signature_of_set r.r_query)
+    |> List.sort_uniq String.compare
+    |> List.filter known |> List.length;
+  if job.j_warm_sigs > 0 then begin
+    let cc = config.corrective in
+    let plan_under sels =
+      plan_desc
+        (Optimizer.optimize ~preagg:cc.Corrective.preagg
+           ~costs:cc.Corrective.costs r.r_query r.r_catalog sels)
+          .Optimizer.spec
+    in
+    match
+      plan_under (Selectivity.create ()) <> plan_under (Selectivity.load seed)
+    with
+    | changed -> job.j_warm_changed <- changed
+    | exception _ -> job.j_warm_changed <- false
+  end
+
+(* The corrective configuration of one attempt: the server's template
+   plus its checkpoint, resume point, crash, stats seed, and the job's
+   deadline and the worker's memory slice. *)
+let attempt_config config job (params : attempt) ~dir ~crash =
+  let cc = config.corrective in
+  let policy =
+    Checkpoint.policy
+      ?every_tuples:
+        (if config.checkpoint_every > 0 then Some config.checkpoint_every
+         else None)
+      ~dir ()
+  in
+  (* Map the job's absolute server-clock deadline onto the attempt's
+     inner clock (which starts at the resume point [a_base]): the run
+     must stop when server time reaches the deadline, i.e. when its own
+     clock reaches [a_base + (deadline - a_t0)]. *)
+  let deadline =
+    match job.j_deadline with
+    | Some dl -> Some (params.a_base +. Float.max 0.0 (dl -. params.a_t0))
+    | None -> cc.Corrective.deadline
+  in
+  (* The global memory budget is partitioned evenly across the pool:
+     every worker pages under its slice regardless of what its
+     neighbours run, so one heavy query cannot starve the others. *)
+  let memory_budget =
+    match config.memory_budget with
+    | Some b -> Some (max 1 (b / config.workers))
+    | None -> cc.Corrective.memory_budget
+  in
+  { cc with
+    Corrective.checkpoint = Some policy; resume_from = params.a_resume;
+    crash; stats_seed = Some params.a_seed; deadline; memory_budget }
+
+(* One attempt, run eagerly through [Corrective.run]; the outcome is
+   parked on the job and surfaces when the server clock reaches its
+   completion or supervisor-detection event. *)
+let execute st job (params : attempt) ~crash =
+  let config = st.env.config in
+  let r = Option.get job.j_resolved in
+  let dir = job_dir st job in
+  let qm = Metrics.with_labels st.env.metrics [ ("query", job.j_id) ] in
+  (* Drop cells of a discarded or reclaimed prior attempt: the cells
+     left behind equal what a single fresh process would have
+     produced, and the store stays bounded per query. *)
+  Metrics.prune qm;
+  let inner = if traced st then Trace.memory () else Trace.null in
+  let cc = attempt_config config job params ~dir ~crash in
+  match
+    Corrective.run ~config:cc ~trace:inner ~metrics:qm r.r_query r.r_catalog
+      (r.r_sources ())
+  with
+  | result, stats ->
+    (* determinism-ok: draining the job's own capture trace ([] when
+       tracing is off) into the reply, not back into execution *)
+    job.j_pending <- Some (P_done (result, stats, Trace.events inner));
+    schedule st
+      (params.a_t0
+      +. Float.max 0.0 (stats.Corrective.total_time -. params.a_base))
+      (E_complete (job, job.j_gen))
+  | exception Crash.Crashed msg ->
+    (* The worker died at the virtual moment of its last checkpoint (the
+       best deterministic anchor the survivors can ever learn); its last
+       heartbeat is the latest beat before that, and the supervisor
+       notices one heartbeat-timeout later. *)
+    let death_off =
+      match latest_clock dir ~base:params.a_base with
+      | Some s_now -> s_now -. params.a_base
+      | None -> 0.0
+    in
+    let hb = config.heartbeat_interval in
+    let beats = Float.of_int (int_of_float (death_off /. hb)) in
+    let last_hb = params.a_t0 +. (beats *. hb) in
+    job.j_pending <-
+      (* determinism-ok: draining the job's own capture trace into the
+         crash record, not back into execution *)
+      Some (P_crashed { last_hb; msg; events = Trace.events inner });
+    schedule st (last_hb +. config.heartbeat_timeout)
+      (E_death (job, job.j_gen))
+  | exception Diagnostic.Failed (where, diags) ->
+    job.j_pending <-
+      Some
+        (P_error
+           ( failure_msg where diags,
+             (* determinism-ok: draining the job's own capture trace into
+                the error record, not back into execution *)
+             Trace.events inner ));
+    schedule st params.a_t0 (E_complete (job, job.j_gen))
+
+(* Start the job's next attempt on [worker].  The first attempt sweeps
+   a previous server run's checkpoints and computes the warm start; a
+   retry after a reclaim resumes from the newest checkpoint. *)
+let start_attempt st job worker =
+  let dir = job_dir st job in
+  if job.j_attempts = 0 then clear_checkpoints dir;
+  let resume =
+    if job.j_failures > 0 && Checkpoint.latest ~dir <> None then Some dir
+    else None
+  in
+  let base =
+    match resume with
+    | None -> 0.0
+    | Some _ -> Option.value ~default:0.0 (latest_clock dir ~base:0.0)
+  in
+  let seed = Selectivity.dump st.shared in
+  if job.j_attempts = 0 then
+    Option.iter (fun r -> warm_start st.env.config job r seed) job.j_resolved;
+  job.j_attempts <- job.j_attempts + 1;
+  job.j_gen <- job.j_gen + 1;
+  job.j_state <- Running;
+  Hashtbl.replace st.workers worker (Some job.j_id);
+  let params =
+    { a_worker = worker; a_t0 = st.now; a_base = base; a_resume = resume;
+      a_seed = seed; a_snapshot = ckpt_files dir }
+  in
+  job.j_params <- Some params;
+  let crash =
+    match job.j_armed with
+    | [] -> []
+    | p :: tl ->
+      job.j_armed <- tl;
+      [ p ]
+  in
+  execute st job params ~crash
+
+(* [E_kill]: arm a crash for the job's next attempt — or, when the
+   in-flight attempt would have completed, replay it with the crash
+   armed.  Same seed, same resume point, same checkpoint-directory state
+   (the replay's sweep keeps only the files present when the attempt
+   started): deterministic. *)
+let arm_kill st job point =
+  match (job.j_state, job.j_pending, job.j_params) with
+  | Terminal, _, _ -> ()
+  | Running, Some (P_done _), Some params ->
+    job.j_gen <- job.j_gen + 1;
+    clear_checkpoints ~keep:params.a_snapshot (job_dir st job);
+    execute st job params ~crash:[ point ]
+  | (Queued | Running), _, _ ->
+    (* queued, or already failing or dying: arm for a later attempt *)
+    job.j_armed <- job.j_armed @ [ point ]
+
+(* [E_cancel]: only a queued query can be cancelled. *)
+let cancel st job =
+  if job.j_state = Queued then begin
+    dequeue st job;
+    finish st job Cancelled
+  end
+
+(* [E_complete]: free the worker and surface the attempt's outcome; a
+   done run publishes what it learned to the shared store only now, so
+   a later-starting attempt never sees statistics from a run that (on
+   the server clock) had not finished yet. *)
+let complete st job =
+  let params = Option.get job.j_params in
+  Hashtbl.replace st.workers params.a_worker None;
+  match job.j_pending with
+  | Some (P_done (result, stats, events)) ->
+    emit_shifted st job params events;
+    Selectivity.absorb st.shared stats.Corrective.learned;
+    finish st job (Done { result; stats })
+  | Some (P_error (msg, events)) ->
+    emit_shifted st job params events;
+    finish st job (Failed msg)
+  | Some (P_crashed _) | None -> ()
+
+(* [E_death]: the supervisor declares the attempt's worker dead,
+   reclaims the query, spawns a replacement and requeues the query with
+   exponential backoff — or fails it once the retry budget is spent. *)
+let reclaim st job =
+  match (job.j_pending, job.j_params) with
+  | Some (P_crashed { last_hb; msg; events }), Some params ->
+    let config = st.env.config in
+    emit_shifted st job params events;
+    let w = params.a_worker in
+    Hashtbl.remove st.workers w;
+    st.died <- st.died + 1;
+    set_alive st;
+    emit st
+      (Trace.Worker_died
+         { worker = w; query = job.j_id; last_heartbeat_s = last_hb /. 1e6 });
+    let dir = job_dir st job in
+    let resume_from =
+      match Checkpoint.latest ~dir with Some _ -> dir | None -> ""
+    in
+    emit st
+      (Trace.Worker_reclaimed
+         { worker = w; query = job.j_id; attempt = job.j_attempts;
+           resume_from });
+    Metrics.incr st.env.reclaims_c;
+    spawn_worker st;
+    job.j_failures <- job.j_failures + 1;
+    job.j_params <- None;
+    job.j_pending <- None;
+    if job.j_failures > config.max_retries then
+      finish st job
+        (Failed
+           (Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
+              job.j_attempts msg))
+    else begin
+      job.j_state <- Queued;
+      job.j_not_before <-
+        st.now
+        +. (config.retry_backoff *. (2.0 ** float_of_int (job.j_failures - 1)));
+      enqueue st job
+    end
+  | _ -> ()
+
+(* [E_poll]: shed queued work whose deadline already passed (it can
+   only waste a worker), hand ready jobs to idle workers in class
+   priority order (FIFO within a class: the sort is stable and
+   [waiting] is in submission order), and re-time the next poll. *)
+let dispatch st =
+  let config = st.env.config in
+  List.iter
+    (fun job ->
+      match job.j_deadline with
+      | Some dl when dl <= st.now ->
+        dequeue st job;
+        st.sheds <- st.sheds + 1;
+        Metrics.incr st.env.shed_c;
+        reject st job "deadline-shed"
+      | Some _ | None -> ())
+    st.waiting;
+  let ready =
+    List.filter (fun job -> job.j_not_before <= st.now) st.waiting
+    |> List.stable_sort (fun a b ->
+           compare (class_rank config a.j_class) (class_rank config b.j_class))
+  in
+  let idle =
+    Hashtbl.fold (fun w s acc -> if s = None then w :: acc else acc)
+      st.workers []
+    |> List.sort compare
+  in
+  let rec assign ws jobs =
+    match (ws, jobs) with
+    | w :: ws, job :: jobs ->
+      dequeue st job;
+      start_attempt st job w;
+      assign ws jobs
+    | _ -> ()
+  in
+  assign idle ready;
+  let found = List.length ready in
+  st.polls <- st.polls + 1;
+  if found > 0 then st.busy_polls <- st.busy_polls + 1;
+  Metrics.incr st.env.polls_c;
+  let before = Poll_controller.interval st.pc in
+  let interval = Poll_controller.record st.pc ~found in
+  st.min_seen <- Float.min st.min_seen interval;
+  st.max_seen <- Float.max st.max_seen interval;
+  Metrics.set st.env.interval_g (interval /. 1e6);
+  if interval <> before then
+    emit st
+      (Trace.Poll_interval_changed
+         { from_s = before /. 1e6; to_s = interval /. 1e6; found });
+  let busy_worker =
+    Hashtbl.fold (fun _ s acc -> acc || s <> None) st.workers false
+  in
+  if st.waiting <> [] || busy_worker || st.heap <> [] then
+    schedule st (st.now +. interval) E_poll
+
+let handle st = function
+  | E_submit (qid, spec, klass, deadline_s) ->
+    admit st qid spec klass deadline_s
+  | E_kill (qid, point) ->
+    Option.iter (fun j -> arm_kill st j point) (Hashtbl.find_opt st.jobs qid)
+  | E_cancel qid -> Option.iter (cancel st) (Hashtbl.find_opt st.jobs qid)
+  | E_drain -> st.draining <- true
+  | E_complete (job, gen) -> if job.j_gen = gen then complete st job
+  | E_death (job, gen) -> if job.j_gen = gen then reclaim st job
+  | E_poll -> dispatch st
+
+let rec loop st =
+  match st.heap with
+  | [] -> ()
+  | (at, _, ev) :: rest ->
+    st.heap <- rest;
+    st.now <- Float.max st.now at;
+    handle st ev;
+    loop st
+
+let report st =
   let queries =
     List.rev_map
-      (fun qid ->
-        let j = Hashtbl.find jobs qid in
+      (fun j ->
         { qr_id = j.j_id; qr_spec = j.j_spec; qr_class = j.j_class;
           qr_deadline_s = Option.map (fun d -> d /. 1e6) j.j_deadline;
           qr_outcome =
@@ -878,26 +792,32 @@ let run config resolver script =
           qr_finished_s = j.j_finished /. 1e6; qr_attempts = j.j_attempts;
           qr_warm_signatures = j.j_warm_sigs;
           qr_warm_plan_changed = j.j_warm_changed })
-      !order
+      st.order
   in
   let count f = List.length (List.filter f queries) in
-  let initial = config.poll.Poll_controller.max_interval in
+  let interval_s seen =
+    (if st.polls = 0 then st.env.config.poll.Poll_controller.max_interval
+     else seen)
+    /. 1e6
+  in
   { r_queries = queries;
-    r_done = count (fun q -> match q.qr_outcome with Done _ -> true | _ -> false);
+    r_done =
+      count (fun q -> match q.qr_outcome with Done _ -> true | _ -> false);
     r_failed =
       count (fun q -> match q.qr_outcome with Failed _ -> true | _ -> false);
     r_cancelled = count (fun q -> q.qr_outcome = Cancelled);
     r_rejected =
       count (fun q -> match q.qr_outcome with Rejected _ -> true | _ -> false);
-    r_shed = !sheds;
-    r_workers_spawned = !spawned; r_workers_died = !died;
-    r_reclaims = !reclaims; r_polls = !polls; r_busy_polls = !busy_polls;
-    r_min_interval_s =
-      (if !polls = 0 then initial /. 1e6 else !min_seen /. 1e6);
-    r_max_interval_s =
-      (if !polls = 0 then initial /. 1e6 else !max_seen /. 1e6);
-    r_finished_s = !now /. 1e6;
-    r_shared_signatures = Selectivity.size shared }
+    r_shed = st.sheds; r_workers_spawned = st.next_worker;
+    r_workers_died = st.died; r_reclaims = st.died; r_polls = st.polls;
+    r_busy_polls = st.busy_polls; r_min_interval_s = interval_s st.min_seen;
+    r_max_interval_s = interval_s st.max_seen; r_finished_s = st.now /. 1e6;
+    r_shared_signatures = Selectivity.size st.shared }
+
+let run config resolver script =
+  let st = boot config resolver script in
+  loop st;
+  report st
 
 (* ------------------------------------------------------------------ *)
 (* Resolver                                                           *)

@@ -1,9 +1,11 @@
 (* Observability layer: JSON codec, trace event serialization roundtrips,
-   the Chrome trace_event exporter (golden file), the metrics registry and
-   its two dump formats, the explain replay, per-event-class coverage of
-   the engine's instrumentation hooks, and the headline invariant — a
-   traced run and an untraced run are virtual-time identical and produce
-   the same answer, including across a kill-and-resume. *)
+   the Chrome trace_event exporter (golden file), the metrics registry,
+   its label scopes (no leaks after prune) and its two dump formats (the
+   Prometheus exposition contract), the explain replay and its per-query
+   lanes, the bench-diff gates, per-event-class coverage of the engine's
+   instrumentation hooks, and the headline invariant — a traced run and
+   an untraced run are virtual-time identical and produce the same
+   answer, including across a kill-and-resume. *)
 
 open Adp_relation
 open Adp_exec
@@ -1226,6 +1228,230 @@ let test_bjson_roundtrip () =
   | Ok d' ->
     Alcotest.(check bool) "document roundtrips bit-equal" true (d = d')
 
+(* ---------------- registry views under many queries ---------------- *)
+
+let test_with_labels_no_leaks () =
+  let m = Metrics.create () in
+  let keep = Metrics.counter m ~help:"polls" "adp_polls_total" in
+  Metrics.incr keep;
+  let base = Metrics.cells m in
+  (* Many concurrent per-query views writing scoped cells... *)
+  let views =
+    List.init 50 (fun i ->
+        let qid = Printf.sprintf "q%02d" i in
+        let v = Metrics.with_labels m [ ("query", qid) ] in
+        let c = Metrics.counter v ~help:"rows" "adp_rows_total" in
+        Metrics.incr c ~by:i;
+        let g = Metrics.gauge v ~help:"depth" "adp_depth" in
+        Metrics.set g (float_of_int i);
+        v)
+  in
+  Alcotest.(check int) "scoped cells live" (base + 100) (Metrics.cells m);
+  (* Re-registration under the same view is idempotent, not a new cell. *)
+  let v0 = List.hd views in
+  ignore (Metrics.counter v0 ~help:"rows" "adp_rows_total");
+  Alcotest.(check int) "idempotent" (base + 100) (Metrics.cells m);
+  (* ...and pruning every view retires exactly the scoped cells. *)
+  List.iter Metrics.prune views;
+  Alcotest.(check int) "no leaked labels" base (Metrics.cells m);
+  Alcotest.(check bool) "no query label survives" false
+    (contains ~needle:"query=" (Metrics.to_prometheus m));
+  (* The unscoped cell is untouched. *)
+  Alcotest.(check int) "root cell kept" 1 (Metrics.count keep)
+
+(* ---------------- Prometheus exposition ---------------- *)
+
+(* A minimal scrape validator: every sample line's family must have been
+   introduced by exactly one HELP and one TYPE line, all samples of a
+   family must be contiguous, and no family may repeat.  Histogram
+   families own their conventional [_bucket]/[_sum]/[_count] samples. *)
+let validate_prometheus text =
+  let lines =
+    List.filter
+      (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' text)
+  in
+  let seen = Hashtbl.create 16 in
+  let kinds = Hashtbl.create 16 in
+  let current = ref None in
+  let family_of_sample line =
+    let name_end =
+      match (String.index_opt line '{', String.index_opt line ' ') with
+      | Some i, Some j -> min i j
+      | Some i, None -> i
+      | None, Some j -> j
+      | None, None -> String.length line
+    in
+    let name = String.sub line 0 name_end in
+    let strip suffix =
+      if
+        String.length name > String.length suffix
+        && String.sub name
+             (String.length name - String.length suffix)
+             (String.length suffix)
+           = suffix
+      then
+        Some (String.sub name 0 (String.length name - String.length suffix))
+      else None
+    in
+    let histo base = Hashtbl.find_opt kinds base = Some "histogram" in
+    match (strip "_bucket", strip "_sum", strip "_count") with
+    | Some base, _, _ when histo base -> base
+    | _, Some base, _ when histo base -> base
+    | _, _, Some base when histo base -> base
+    | _ -> name
+  in
+  List.iter
+    (fun line ->
+      if String.length line > 7 && String.sub line 0 7 = "# HELP " then begin
+        let rest = String.sub line 7 (String.length line - 7) in
+        let fam = String.sub rest 0 (String.index rest ' ') in
+        if Hashtbl.mem seen fam then
+          Alcotest.failf "family %s introduced twice" fam;
+        Hashtbl.replace seen fam `Help;
+        current := Some fam
+      end
+      else if String.length line > 7 && String.sub line 0 7 = "# TYPE " then begin
+        let rest = String.sub line 7 (String.length line - 7) in
+        (match String.split_on_char ' ' rest with
+         | fam :: kind :: _ ->
+           Hashtbl.replace kinds fam kind;
+           (match Hashtbl.find_opt seen fam with
+            | Some `Help -> Hashtbl.replace seen fam `Typed
+            | _ -> Alcotest.failf "TYPE for %s without preceding HELP" fam);
+           if !current <> Some fam then
+             Alcotest.failf "TYPE for %s interleaves another family" fam
+         | _ -> Alcotest.failf "malformed TYPE line: %s" line)
+      end
+      else begin
+        let fam = family_of_sample line in
+        (match Hashtbl.find_opt seen fam with
+         | Some `Typed -> ()
+         | _ -> Alcotest.failf "sample for %s before its HELP/TYPE" fam);
+        if !current <> Some fam then
+          Alcotest.failf "samples of %s not contiguous" fam
+      end)
+    lines
+
+let test_prometheus_families () =
+  let m = Metrics.create () in
+  ignore (Metrics.counter m ~help:"polls" "adp_polls_total");
+  let nohelp = Metrics.counter m ~help:"" "adp_bare_total" in
+  Metrics.incr nohelp;
+  let v1 = Metrics.with_labels m [ ("query", "q1") ] in
+  let v2 = Metrics.with_labels m [ ("query", "q2") ] in
+  List.iter
+    (fun v ->
+      let h = Metrics.histogram v ~help:"latency" "adp_latency" in
+      Metrics.observe h 1.0;
+      Metrics.observe h 3.0;
+      ignore (Metrics.gauge v ~help:"depth" "adp_depth"))
+    [ v1; v2 ];
+  let text = Metrics.to_prometheus m in
+  validate_prometheus text;
+  (* Every family appears with both headers, including the synthesized
+     quantile sibling families of multi-label-set histograms. *)
+  List.iter
+    (fun fam ->
+      let has prefix =
+        List.exists
+          (fun l ->
+            String.length l >= String.length prefix
+            && String.sub l 0 (String.length prefix) = prefix)
+          (String.split_on_char '\n' text)
+      in
+      Alcotest.(check bool) ("HELP " ^ fam) true (has ("# HELP " ^ fam ^ " "));
+      Alcotest.(check bool) ("TYPE " ^ fam) true (has ("# TYPE " ^ fam ^ " ")))
+    [ "adp_polls_total"; "adp_bare_total"; "adp_depth"; "adp_latency";
+      "adp_latency_p50"; "adp_latency_p95"; "adp_latency_max" ];
+  (* The empty help string falls back to the family name, never an
+     empty HELP line. *)
+  Alcotest.(check bool) "synthesized help" true
+    (List.exists
+       (fun l -> l = "# HELP adp_bare_total adp_bare_total")
+       (String.split_on_char '\n' text))
+
+(* ---------------- explain lanes ---------------- *)
+
+let test_explain_lanes () =
+  let events =
+    [ (0.0, Trace.Worker_spawned { worker = 1 });
+      ( 10.0,
+        Trace.Query_attempt { query = "qa"; attempt = 1; worker = 1; events = 2 } );
+      (10.0, Trace.Phase_opened { id = 0; plan = "scan" });
+      (20.0, Trace.Phase_closed { id = 0; read = 5; emitted = 5 });
+      ( 30.0,
+        Trace.Poll_interval_changed { from_s = 1.0; to_s = 0.7; found = 1 } )
+    ]
+  in
+  let text = Format.asprintf "%a" Trace.explain events in
+  let lines = String.split_on_char '\n' text in
+  let has f = List.exists f lines in
+  (* The two inner events render inside qa's lane; the lane closes when
+     its block is exhausted. *)
+  Alcotest.(check bool) "lane header" true
+    (has (fun l ->
+         contains ~needle:"query qa attempt 1 on worker 1" l
+         && contains ~needle:"2 re-stamped events" l));
+  Alcotest.(check bool) "lane prefix on inner events" true
+    (has (fun l -> contains ~needle:"qa| phase 0 opened" l));
+  Alcotest.(check bool) "lane prefix on second inner event" true
+    (has (fun l -> contains ~needle:"qa| phase 0 closed" l));
+  Alcotest.(check bool) "lane closed after block" true
+    (has (fun l ->
+         contains ~needle:"dispatcher poll interval" l
+         && not (contains ~needle:"qa| " l)));
+  Alcotest.(check bool) "lanes summary" true
+    (has (fun l -> contains ~needle:"lanes: 1 query-attempt block" l));
+  (* Trace JSON round-trip, the lane marker included. *)
+  List.iter
+    (fun (at, ev) ->
+      match Trace.of_json (Trace.to_json (at, ev)) with
+      | Ok (at', ev') ->
+        Alcotest.(check (float 0.0)) "stamp" at at';
+        Alcotest.(check bool) ("round-trip " ^ Trace.event_name ev) true
+          (ev = ev')
+      | Error m -> Alcotest.fail m)
+    events
+
+(* ---------------- bench-diff shape gate ---------------- *)
+
+let doc_of cells =
+  { Bjson.bench = "t"; scale = 0.004;
+    cells =
+      List.map
+        (fun (id, kind, value) -> { Bjson.id; kind; value })
+        cells }
+
+let test_benchdiff_shape_mismatch () =
+  let baseline =
+    doc_of
+      [ ("alpha", Bjson.Count, 1.0); ("beta", Bjson.Time, 2.0);
+        ("gamma", Bjson.Bool, 1.0) ]
+  in
+  let current =
+    doc_of [ ("alpha", Bjson.Count, 1.0); ("delta", Bjson.Count, 3.0);
+             ("zeta", Bjson.Count, 9.0) ]
+  in
+  (match Benchdiff.diff ~baseline ~current () with
+   | Ok _ -> Alcotest.fail "shape mismatch accepted"
+   | Error m ->
+     (* Sorted missing and extra cell names, distinct from a breach. *)
+     Alcotest.(check bool) "mentions shape" true
+       (contains ~needle:"shape mismatch" m);
+     Alcotest.(check bool) "missing sorted" true
+       (contains ~needle:"missing 2 cells: beta, gamma" m);
+     Alcotest.(check bool) "extra sorted" true
+       (contains ~needle:"extra 2 cells: delta, zeta" m));
+  (* A genuine regression on an aligned shape is a breach, not an
+     Error. *)
+  let baseline = doc_of [ ("alpha", Bjson.Count, 1.0) ] in
+  let current = doc_of [ ("alpha", Bjson.Count, 2.0) ] in
+  match Benchdiff.diff ~baseline ~current () with
+  | Error m -> Alcotest.failf "regression misclassified as Error: %s" m
+  | Ok o ->
+    Alcotest.(check int) "one breach" 1 (List.length o.Benchdiff.o_breaches)
+
 let suite =
   [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json edge cases" `Quick test_json_edge_cases;
@@ -1266,4 +1492,10 @@ let suite =
       test_benchdiff_zero_and_nan;
     Alcotest.test_case "bench-diff variance-aware wall gate" `Quick
       test_benchdiff_wall_gate;
-    Alcotest.test_case "bjson roundtrip" `Quick test_bjson_roundtrip ]
+    Alcotest.test_case "bjson roundtrip" `Quick test_bjson_roundtrip;
+    Alcotest.test_case "with_labels has no leaks" `Quick
+      test_with_labels_no_leaks;
+    Alcotest.test_case "prometheus families" `Quick test_prometheus_families;
+    Alcotest.test_case "explain lanes" `Quick test_explain_lanes;
+    Alcotest.test_case "bench-diff shape mismatch" `Quick
+      test_benchdiff_shape_mismatch ]
