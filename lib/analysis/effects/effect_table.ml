@@ -58,16 +58,17 @@ let tail2 path =
   | p -> List.rev p
 
 (* Hash-table modules whose fold/iter order is a function of hashing and
-   insertion history, not of the keys: the stdlib's, and the engine's
-   own Hash_table (whose Ktbl alias is the stdlib's). *)
+   insertion history, not of the keys: the stdlib's, under its own name or
+   a [Ktbl] functor alias.  The engine's Hash_table iterates in insertion
+   order and is not one of them. *)
 let is_hash_fold path =
   match tail2 path with
-  | [ ("Hashtbl" | "Ktbl" | "Hash_table"); "fold" ] -> true
+  | [ ("Hashtbl" | "Ktbl"); "fold" ] -> true
   | _ -> false
 
 let is_hash_iter path =
   match tail2 path with
-  | [ ("Hashtbl" | "Ktbl" | "Hash_table"); "iter" ] -> true
+  | [ ("Hashtbl" | "Ktbl"); "iter" ] -> true
   | _ -> false
 
 let is_sort path =

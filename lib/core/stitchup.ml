@@ -63,28 +63,23 @@ let build_side env sp schema ~key_cols (r : node_result) =
   in
   List.map (fun (pid, tuples) -> pid, mk tuples) r.uniform, mk r.mixed
 
-let probe_into env sp ~out tbl lkey tuples orient =
+let probe_into env sp ~out tbl lkey tuples =
   let c = env.ctx.Ctx.costs in
   List.iter
     (fun t ->
-      let k = Tuple.key t lkey in
-      let matches = Hash_table.probe tbl k in
-      charge_sp env sp
-        (c.hash_probe +. (c.per_match *. float_of_int (List.length matches)));
-      (match sp with
-       | Some sp ->
-         Adp_obs.Profile.add_probes sp 1;
-         Adp_obs.Profile.add_out sp (List.length matches)
-       | None -> ());
-      List.iter
-        (fun m ->
-          let combined =
-            match orient with
-            | `Left_probe -> Tuple.concat t m
-            | `Right_probe -> Tuple.concat m t
-          in
-          out := combined :: !out)
-        matches)
+      let n = ref 0 in
+      out :=
+        Hash_table.fold_matches
+          (fun m acc ->
+            incr n;
+            Tuple.concat t m :: acc)
+          tbl (Hash_table.hash t lkey) t lkey !out;
+      charge_sp env sp (c.hash_probe +. (c.per_match *. float_of_int !n));
+      match sp with
+      | Some sp ->
+        Adp_obs.Profile.add_probes sp 1;
+        Adp_obs.Profile.add_out sp !n
+      | None -> ())
     tuples
 
 let rec eval env ~is_root ~depth spec =
@@ -125,7 +120,7 @@ let rec eval env ~is_root ~depth spec =
                | None -> Some (pid, [])
                | Some tbl ->
                  let out = ref [] in
-                 probe_into env sp ~out tbl lkey ltuples `Left_probe;
+                 probe_into env sp ~out tbl lkey ltuples;
                  env.recomputed <- env.recomputed + List.length !out;
                  Some (pid, List.rev !out)))
           l.uniform
@@ -138,15 +133,15 @@ let rec eval env ~is_root ~depth spec =
         List.iter
           (fun (pr, tbl) ->
             if pl <> pr then
-              probe_into env sp ~out:mixed tbl lkey ltuples `Left_probe)
+              probe_into env sp ~out:mixed tbl lkey ltuples)
           rtabs;
-        probe_into env sp ~out:mixed rmixed lkey ltuples `Left_probe)
+        probe_into env sp ~out:mixed rmixed lkey ltuples)
       l.uniform;
     List.iter
       (fun (_, tbl) ->
-        probe_into env sp ~out:mixed tbl lkey l.mixed `Left_probe)
+        probe_into env sp ~out:mixed tbl lkey l.mixed)
       rtabs;
-    probe_into env sp ~out:mixed rmixed lkey l.mixed `Left_probe;
+    probe_into env sp ~out:mixed rmixed lkey l.mixed;
     { schema; uniform; mixed = List.rev !mixed }
 
 let run ctx query ~join_tree ~phases ~registry ~sink =

@@ -2,11 +2,14 @@ open Adp_relation
 
 type input = Raw | Partial
 
+(* Group keys bucket with the join tables' hash, which allocates
+   nothing; output order comes from the first-seen order list, never from
+   this table. *)
 module Ktbl = Hashtbl.Make (struct
   type t = Value.t array
 
   let equal = Tuple.equal_key
-  let hash = Tuple.hash_key
+  let hash = Adp_storage.Hash_table.key_hash
 end)
 
 type t = {

@@ -310,21 +310,24 @@ let finish t =
       let scan, probe_tbl =
         if scan_left then ltbl, rtbl else rtbl, ltbl
       in
-      (* Scan order is hash order; sorting the combination gives stitch-up
-         output a deterministic key order independent of insertion
-         history. *)
-      Hash_table.to_list scan
-      |> List.concat_map (fun s ->
-             let k = Hash_table.key_of scan s in
-             let matches = Hash_table.probe probe_tbl k in
-             Ctx.charge_span t.ctx t.sp_stitch
-               (c.hash_probe
-               +. (c.per_match *. float_of_int (List.length matches)));
-             List.map
-               (fun m ->
-                 if scan_left then Tuple.concat s m else Tuple.concat m s)
-               matches)
-      |> List.sort Tuple.compare
+      let cols = Hash_table.key_indices scan in
+      let out = ref [] in
+      Hash_table.iter
+        (fun s ->
+          let n = ref 0 in
+          out :=
+            Hash_table.fold_matches
+              (fun m acc ->
+                incr n;
+                (if scan_left then Tuple.concat s m else Tuple.concat m s)
+                :: acc)
+              probe_tbl (Hash_table.hash s cols) s cols !out;
+          Ctx.charge_span t.ctx t.sp_stitch
+            (c.hash_probe +. (c.per_match *. float_of_int !n)))
+        scan;
+      (* Sorting the combination gives stitch-up output a deterministic
+         key order independent of insertion history. *)
+      List.sort Tuple.compare !out
     end
   in
   let s1 = cross (Sym_join.left_table t.merge) (Sym_join.right_table t.hash) in

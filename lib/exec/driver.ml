@@ -1,9 +1,5 @@
 type outcome = Exhausted | Switched | Stopped
 
-type event = Deliver of float | Attempt of float
-
-let time_of = function Deliver t | Attempt t -> t
-
 let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     ?breakers () =
   let srcs = Array.of_list sources in
@@ -13,11 +9,12 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
   let next_poll =
     ref (match poll with Some (iv, _) -> Ctx.now ctx +. iv | None -> infinity)
   in
-  let breaker i =
+  let bks =
     match breakers with
-    | Some bks when Array.length bks = n -> Some bks.(i)
+    | Some bks when Array.length bks = n -> Some bks
     | Some _ | None -> None
   in
+  let breaker i = match bks with Some bks -> Some bks.(i) | None -> None in
   let emit_breaker_change i b ~from_state ~now =
     Adp_obs.Metrics.incr ctx.Ctx.breaker_transitions;
     (match Breaker.state b with
@@ -51,49 +48,54 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
       end
       else false
   in
-  (* The engine-observable next event on a source.  An arrival within the
-     retry deadline is a delivery; silence past the deadline (a stall, a
-     long gap, or a dropped link) is a timeout, which surfaces as a
-     reconnect attempt — at the deadline, or at the scheduled post-backoff
-     time while attempts are in flight.  An open breaker stops asking: its
-     source's next attempt is held back to the scheduled probe time. *)
-  let event i =
-    let s = srcs.(i) in
-    if Source.finished s then None
-    else begin
-      let now = Ctx.now ctx in
-      let attempt t =
-        match breaker i with
-        | Some b when Breaker.state b = Breaker.Open ->
-          Attempt (max t (Breaker.probe_at b))
-        | Some _ | None -> Attempt t
-      in
-      match Retry.pending_attempt ctrls.(i) with
-      | Some ta -> Some (attempt (max ta now))
-      | None ->
-        let dl = Retry.deadline ctrls.(i) in
-        (match Source.peek_arrival s with
-         | Some a when a <= max dl now -> Some (Deliver a)
-         | Some _ | None -> Some (attempt (max dl now)))
-    end
-  in
+  (* Earliest event among live sources; ties broken round-robin starting
+     after the last pick.  A source's next engine-observable event is a
+     delivery when its next arrival falls within the retry deadline;
+     silence past the deadline (a stall, a long gap, or a dropped link)
+     is a timeout, which surfaces as a reconnect attempt — at the
+     deadline, or at the scheduled post-backoff time while attempts are
+     in flight.  An open breaker stops asking: its source's next attempt
+     is held back to the scheduled probe time.  Events at infinite time
+     (a permanently silent source under a no-timeout policy) can never
+     fire: such sources are left behind rather than hanging the loop.
+     The scan keeps each candidate's time and kind in locals; the
+     winner's go to [picked_t]/[picked_deliver], and its index is
+     returned (-1: no event can fire). *)
+  let picked_t = Array.make 1 0.0 and picked_deliver = ref false in
   let pick () =
-    (* Earliest event among live sources; ties broken round-robin starting
-       after the last pick.  Events at infinite time (a permanently silent
-       source under a no-timeout policy) can never fire: such sources are
-       left behind rather than hanging the loop. *)
-    let best = ref None in
+    let best = ref (-1) and best_t = ref 0.0 and best_deliver = ref false in
     for off = 0 to n - 1 do
       let i = (!cursor + off) mod n in
-      match event i with
-      | None -> ()
-      | Some ev ->
-        let t = time_of ev in
-        if Float.is_finite t then
-          (match !best with
-           | Some (_, bev) when time_of bev <= t -> ()
-           | Some _ | None -> best := Some (i, ev))
+      let s = srcs.(i) in
+      if not (Source.finished s) then begin
+        let now = Ctx.now ctx in
+        let t = ref 0.0 and deliver = ref false in
+        (match Retry.pending_attempt ctrls.(i) with
+         | Some ta -> t := if ta >= now then ta else now
+         | None ->
+           let dl = Retry.deadline ctrls.(i) in
+           let dl = if dl >= now then dl else now in
+           let a = Source.next_arrival s in
+           if a <= dl then begin
+             t := a;
+             deliver := true
+           end
+           else t := dl);
+        (if not !deliver then
+           match bks with
+           | Some bks when Breaker.state bks.(i) = Breaker.Open ->
+             let p = Breaker.probe_at bks.(i) in
+             if not (!t >= p) then t := p
+           | Some _ | None -> ());
+        if Float.is_finite !t && (!best < 0 || !t < !best_t) then begin
+          best := i;
+          best_t := !t;
+          best_deliver := !deliver
+        end
+      end
     done;
+    picked_t.(0) <- !best_t;
+    picked_deliver := !best_deliver;
     !best
   in
   let reopt_poll cb ~continue =
@@ -112,11 +114,12 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
     | `Stop -> Stopped
   in
   let rec loop () =
-    match pick () with
-    | None -> Exhausted
-    | Some (i, ev) -> (
+    let i = pick () in
+    if i < 0 then Exhausted
+    else
+      let at = picked_t.(0) and deliver = !picked_deliver in
       match deadline with
-      | Some dl when time_of ev > dl && Ctx.now ctx < dl -> (
+      | Some dl when at > dl && Ctx.now ctx < dl -> (
         (* No source event due before the query deadline: hand control to
            the governance poll at the deadline instead of sleeping past
            it.  The poll normally answers [`Stop] (degrade); if it lets
@@ -125,14 +128,15 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
         Clock.wait_until ctx.Ctx.clock dl;
         Ctx.wall_wait ctx "(driver wait)";
         match poll with
-        | Some (_, cb) -> reopt_poll cb ~continue:(fun () -> handle i ev)
+        | Some (_, cb) ->
+          reopt_poll cb ~continue:(fun () -> handle i ~deliver at)
         | None -> Stopped)
-      | Some _ | None -> handle i ev)
-  and handle i ev =
-    match ev with
-    | Deliver arrival ->
+      | Some _ | None -> handle i ~deliver at
+  (* [at] is the arrival time of a delivery, or the time of an attempt. *)
+  and handle i ~deliver at =
+    if deliver then begin
       cursor := (i + 1) mod n;
-      Clock.wait_until ctx.Ctx.clock arrival;
+      Clock.wait_until ctx.Ctx.clock at;
       Ctx.wall_wait ctx "(driver wait)";
       (match Source.next srcs.(i) with
        | None -> ()
@@ -142,11 +146,12 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
          Retry.note_progress ctrls.(i) ~now;
          breaker_success i ~now;
          consume srcs.(i) tuple);
-      (match poll with
-       | Some (_, cb) when Ctx.now ctx >= !next_poll ->
-         reopt_poll cb ~continue:loop
-       | Some _ | None -> loop ())
-    | Attempt at ->
+      match poll with
+      | Some (_, cb) when Ctx.now ctx >= !next_poll ->
+        reopt_poll cb ~continue:loop
+      | Some _ | None -> loop ()
+    end
+    else begin
       cursor := (i + 1) mod n;
       (* Timeout detection and backoff are idle waits on an unresponsive
          source; the attempt itself costs CPU. *)
@@ -228,5 +233,6 @@ let run ctx ~sources ~consume ?poll ?(retry = Retry.default_policy) ?deadline
           else loop ()
         end
       end
+    end
   in
   loop ()

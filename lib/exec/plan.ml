@@ -118,11 +118,14 @@ let rec pp_spec fmt = function
 (* Runtime                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Group keys bucket with the join tables' hash, which allocates
+   nothing; output order comes from the first-seen order list, never from
+   this table. *)
 module Ktbl = Hashtbl.Make (struct
   type t = Value.t array
 
   let equal = Tuple.equal_key
-  let hash = Tuple.hash_key
+  let hash = Adp_storage.Hash_table.key_hash
 end)
 
 type preagg_rt = {
@@ -144,7 +147,6 @@ type node = {
   n_schema : Schema.t;
   n_signature : string;
   n_relations : string list;
-  n_sources : string list;  (* scan sources in subtree *)
   n_predicates : string list;
   mutable n_outputs : Tuple.t list;  (* newest first *)
   mutable n_out_count : int;
@@ -178,7 +180,23 @@ and impl =
   | RJoin of join_rt
   | RPreagg of preagg_node_rt
 
-type t = { ctx : Ctx.t; root : node; record_outputs : bool }
+(* One step of a source's route: the ancestor that takes the batch, and
+   how it consumes it. *)
+type hop = { h_node : node; h_op : hop_op }
+
+and hop_op =
+  | Probe of join_rt * Sym_join.side
+  | Aggregate of preagg_rt
+
+(* Where a source's tuples go: its leaf, then each ancestor bottom-up. *)
+type route = { r_leaf : node; r_scan : leaf_rt; r_hops : hop list }
+
+type t = {
+  ctx : Ctx.t;
+  root : node;
+  record_outputs : bool;
+  routes : (string * route) array;  (* scan order, left to right *)
+}
 
 (* Per-node counters live in the context's metrics registry, labelled
    with the node's rendering.  Registration is idempotent per (name,
@@ -209,7 +227,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     let schema = schema_of s.source in
     { n_spec = spec; n_schema = schema;
       n_signature = signature_of spec; n_relations = [ s.source ];
-      n_sources = [ s.source ]; n_predicates = []; n_outputs = [];
+      n_predicates = []; n_outputs = [];
       n_out_count = 0; n_in_metric; n_out_metric; n_span;
       impl =
         RLeaf
@@ -218,12 +236,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
   | Join j ->
     let left = build ~depth:(depth + 1) ctx j.left ~schema_of in
     let right = build ~depth:(depth + 1) ctx j.right ~schema_of in
-    let overlap =
-      List.filter (fun s -> List.mem s right.n_sources) left.n_sources
-    in
-    if overlap <> [] then
-      invalid_arg
-        ("Plan.instantiate: duplicate source " ^ String.concat "," overlap);
     let sj =
       Sym_join.create ?span:n_span ctx ~mode:`Hash
         ~left_schema:left.n_schema ~right_schema:right.n_schema
@@ -231,7 +243,6 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
     in
     { n_spec = spec; n_schema = Sym_join.schema sj;
       n_signature = signature_of spec; n_relations = relations spec;
-      n_sources = left.n_sources @ right.n_sources;
       n_predicates = predicates spec; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
@@ -258,7 +269,7 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
       | Pseudogroup -> 1
     in
     { n_spec = spec; n_schema = schema; n_signature = signature_of spec;
-      n_relations = child.n_relations; n_sources = child.n_sources;
+      n_relations = child.n_relations;
       n_predicates = child.n_predicates; n_outputs = []; n_out_count = 0;
       n_in_metric; n_out_metric; n_span;
       impl =
@@ -274,12 +285,34 @@ let rec build ?(depth = 0) ctx spec ~schema_of =
                 p_buffer = Ktbl.create 256; p_order = [];
                 p_in_total = 0; p_out_total = 0 } } }
 
+(* Every scan's route, left to right.  [above] holds the hops above
+   [node], nearest first. *)
+let rec routes_of node above acc =
+  match node.impl with
+  | RLeaf l -> (l.source, { r_leaf = node; r_scan = l; r_hops = above }) :: acc
+  | RJoin j ->
+    let hop side = { h_node = node; h_op = Probe (j, side) } :: above in
+    routes_of j.left (hop Sym_join.L) (routes_of j.right (hop Sym_join.R) acc)
+  | RPreagg p ->
+    routes_of p.child ({ h_node = node; h_op = Aggregate p.pa } :: above) acc
+
 let instantiate ?(record_outputs = true) ctx spec ~schema_of =
-  { ctx; root = build ctx spec ~schema_of; record_outputs }
+  let root = build ctx spec ~schema_of in
+  let routes = routes_of root [] [] in
+  let rec dups = function
+    | [] -> []
+    | (s, _) :: rest ->
+      if List.mem_assoc s rest then s :: dups rest else dups rest
+  in
+  (match dups routes with
+   | [] -> ()
+   | d ->
+     invalid_arg ("Plan.instantiate: duplicate source " ^ String.concat "," d));
+  { ctx; root; record_outputs; routes = Array.of_list routes }
 
 let spec t = t.root.n_spec
 let schema t = t.root.n_schema
-let sources t = t.root.n_sources
+let sources t = Array.to_list (Array.map fst t.routes)
 
 let record ~keep node outs =
   if outs <> [] then begin
@@ -387,51 +420,51 @@ let preagg_insert ctx pa tuple =
   in
   punct_flush @ window_flush
 
-(* Push one tuple into the subtree containing [source]; [None] when the
-   source is not below this node. *)
-let rec do_push ctx ~keep node ~source tuple =
-  if not (List.mem source node.n_sources) then None
-  else
-    match node.impl with
-    | RLeaf l ->
-      l.seen <- l.seen + 1;
-      Metrics.incr node.n_in_metric;
-      (match node.n_span with
-       | Some sp -> Profile.add_in sp 1
-       | None -> ());
-      Ctx.charge_span ctx node.n_span
-        (ctx.Ctx.costs.filter_atom *. float_of_int (max 1 l.filter_atoms));
-      if l.filter tuple then Some (record ~keep node [ tuple ]) else Some []
-    | RJoin j ->
-      (match do_push ctx ~keep j.left ~source tuple with
-       | Some outs ->
-         Some
-           (record ~keep node
-              (List.concat_map
-                 (feed_join j Sym_join.L)
-                 (record_in node outs)))
-       | None ->
-         (match do_push ctx ~keep j.right ~source tuple with
-          | Some outs ->
-            Some
-              (record ~keep node
-                 (List.concat_map
-                    (feed_join j Sym_join.R)
-                    (record_in node outs)))
-          | None -> None))
-    | RPreagg p ->
-      (match do_push ctx ~keep p.child ~source tuple with
-       | Some outs ->
-         Some
-           (record ~keep node
-              (List.concat_map (preagg_insert ctx p.pa)
-                 (record_in node outs)))
-       | None -> None)
+(* [f] over a batch, concatenating the outputs in batch order. *)
+let feed_batch f = function
+  | [] -> []
+  | [ x ] -> f x
+  | xs -> List.concat_map f xs
 
+let push_leaf ctx ~keep node l tuple =
+  l.seen <- l.seen + 1;
+  Metrics.incr node.n_in_metric;
+  (match node.n_span with
+   | Some sp -> Profile.add_in sp 1
+   | None -> ());
+  Ctx.charge_span ctx node.n_span
+    (ctx.Ctx.costs.filter_atom *. float_of_int (max 1 l.filter_atoms));
+  if l.filter tuple then record ~keep node [ tuple ] else []
+
+let push_hop ctx ~keep hop batch =
+  let node = hop.h_node in
+  let batch = record_in node batch in
+  record ~keep node
+    (match hop.h_op with
+     | Probe (j, side) -> feed_batch (feed_join j side) batch
+     | Aggregate pa -> feed_batch (preagg_insert ctx pa) batch)
+
+(* A tuple is filtered at its leaf, then each ancestor consumes the whole
+   batch its child produced before the next one up sees anything: the
+   order in which a recursive descent from the root would charge. *)
 let push t ~source tuple =
-  match do_push t.ctx ~keep:t.record_outputs t.root ~source tuple with
-  | Some outs -> outs
-  | None -> invalid_arg ("Plan.push: unknown source " ^ source)
+  let rec find i =
+    if i = Array.length t.routes then
+      invalid_arg ("Plan.push: unknown source " ^ source)
+    else
+      let s, r = t.routes.(i) in
+      if String.equal s source then r else find (i + 1)
+  in
+  let r = find 0 in
+  let keep = t.record_outputs in
+  let rec up batch = function
+    | [] -> batch
+    | hop :: rest ->
+      (match batch with
+       | [] -> []
+       | _ :: _ -> up (push_hop t.ctx ~keep hop batch) rest)
+  in
+  up (push_leaf t.ctx ~keep r.r_leaf r.r_scan tuple) r.r_hops
 
 let rec do_flush ctx ~keep node =
   match node.impl with

@@ -101,7 +101,12 @@ val schema : t -> Schema.t
 val sources : t -> string list
 
 (** [push t ~source tuple] routes one source tuple and returns the result
-    tuples that reached the root. *)
+    tuples that reached the root.  The route (the source's leaf and its
+    ancestors, bottom-up) is computed once by {!instantiate}: the tuple is
+    filtered at the leaf, then each ancestor consumes its child's whole
+    batch before the next one up, so virtual charges fall in the order of
+    a recursive descent from the root.
+    @raise Invalid_argument on a source the plan does not scan. *)
 val push : t -> source:string -> Tuple.t -> Tuple.t list
 
 (** End-of-stream (or phase-suspension) flush: drains pre-aggregation

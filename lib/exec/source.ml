@@ -132,8 +132,8 @@ let finished t = exhausted t || t.link = Link_failed
 let failovers t = t.failovers
 let redelivered t = t.redelivered
 
-let peek_arrival t =
-  if exhausted t || t.link <> Link_up then None else Some t.next_arrival
+let next_arrival t =
+  if exhausted t || t.link <> Link_up then infinity else t.next_arrival
 
 let advance_arrival t =
   match t.model with

@@ -107,9 +107,9 @@ val failovers : t -> int
     skipped before the consumer). *)
 val redelivered : t -> int
 
-(** Arrival time of the next tuple; [None] when exhausted or the link is
-    not up. *)
-val peek_arrival : t -> float option
+(** Arrival time of the next tuple; [infinity] when exhausted or the link
+    is not up. *)
+val next_arrival : t -> float
 
 (** Consume the next tuple; returns it with its arrival time and feeds
     observers.  [None] when exhausted or the link is not up. *)

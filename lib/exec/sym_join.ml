@@ -34,6 +34,9 @@ let accepts t side tuple =
      | None -> true
      | Some k -> Tuple.compare_key k (Hash_table.key_of tbl tuple) <= 0)
 
+(* One hash of the tuple's key columns serves both the insert into its
+   own table and the probe of the other: both tables bucket with
+   [Hash_table.hash], and the probe compares the same columns. *)
 let insert t side tuple =
   let hash = match t.mode with `Hash -> true | `Merge -> false in
   if not (hash || accepts t side tuple) then
@@ -45,11 +48,27 @@ let insert t side tuple =
   (match side with
    | L -> t.in_l <- t.in_l + 1
    | R -> t.in_r <- t.in_r + 1);
-  let k = Hash_table.key_of own tuple in
-  Hash_table.add own k tuple;
-  if not hash then
-    (match side with L -> t.last_l <- Some k | R -> t.last_r <- Some k);
-  let matches = Hash_table.probe other k in
+  let cols = Hash_table.key_indices own in
+  let h = Hash_table.hash tuple cols in
+  Hash_table.insert_hashed own h tuple;
+  if not hash then begin
+    let k = Some (Hash_table.key_of own tuple) in
+    match side with L -> t.last_l <- k | R -> t.last_r <- k
+  end;
+  (* Matches arrive newest first, so consing their concatenations yields
+     the outputs oldest match first. *)
+  let outs =
+    match side with
+    | L ->
+      Hash_table.fold_matches
+        (fun m acc -> Tuple.concat tuple m :: acc)
+        other h tuple cols []
+    | R ->
+      Hash_table.fold_matches
+        (fun m acc -> Tuple.concat m tuple :: acc)
+        other h tuple cols []
+  in
+  let n = List.length outs in
   (* A probe against a paged-out table pays the cost model's I/O penalty
      (§3.4.2); with the table resident, [probe +. 0.0] is [probe] bit for
      bit. *)
@@ -57,13 +76,8 @@ let insert t side tuple =
   Ctx.charge_span t.ctx t.span
     ((if hash then c.hash_probe else c.merge_probe)
     +. io
-    +. (c.per_match *. float_of_int (List.length matches)));
-  let outs =
-    match side with
-    | L -> List.rev_map (fun m -> Tuple.concat tuple m) matches
-    | R -> List.rev_map (fun m -> Tuple.concat m tuple) matches
-  in
-  t.out <- t.out + List.length outs;
+    +. (c.per_match *. float_of_int n));
+  t.out <- t.out + n;
   outs
 
 let left_table t = t.ltbl

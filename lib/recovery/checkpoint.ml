@@ -106,17 +106,18 @@ let save ~dir t =
   S.write_file ~path ~version:format_version (segments t);
   path
 
-let latest ~dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then None
+let files ~dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then []
   else
     (* determinism-ok: listing is sorted below before any choice is made *)
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".adpckpt")
-    |> List.sort compare
-    |> List.rev
-    |> function
-    | [] -> None
-    | f :: _ -> Some (Filename.concat dir f)
+    |> List.sort String.compare
+
+let latest ~dir =
+  match List.rev (files ~dir) with
+  | [] -> None
+  | f :: _ -> Some (Filename.concat dir f)
 
 (* ---------------- loading ---------------- *)
 

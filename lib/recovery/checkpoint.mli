@@ -64,6 +64,10 @@ val ledger : t -> (int * (string * int) list) list
     (creating [dir] if needed) and returns the path written. *)
 val save : dir:string -> t -> string
 
+(** The checkpoint file names in [dir], sorted, oldest sequence first
+    ([[]] when [dir] does not exist). *)
+val files : dir:string -> string list
+
 (** Highest-sequence checkpoint file in [dir], if any. *)
 val latest : dir:string -> string option
 

@@ -239,19 +239,11 @@ type t = {
   mutable now : float;
 }
 
-let ckpt_files dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    (* determinism-ok: listing is sorted below before any choice is made *)
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".adpckpt")
-    |> List.sort String.compare
-  else []
-
 (* Remove a query's checkpoint files, except those named in [keep]. *)
 let clear_checkpoints ?(keep = []) dir =
   List.iter
     (fun f -> if not (List.mem f keep) then Sys.remove (Filename.concat dir f))
-    (ckpt_files dir)
+    (Checkpoint.files ~dir)
 
 let latest_clock dir ~base =
   match Checkpoint.latest ~dir with
@@ -610,7 +602,7 @@ let start_attempt st job worker =
   Hashtbl.replace st.workers worker (Some job.j_id);
   let params =
     { a_worker = worker; a_t0 = st.now; a_base = base; a_resume = resume;
-      a_seed = seed; a_snapshot = ckpt_files dir }
+      a_seed = seed; a_snapshot = Checkpoint.files ~dir }
   in
   job.j_params <- Some params;
   let crash =

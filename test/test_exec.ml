@@ -43,7 +43,7 @@ let mk_rel n = rel [ "t.k"; "t.p" ] (List.init n (fun i -> [ vi i; vi 0 ]))
 
 let test_source_local () =
   let s = Source.create ~name:"r" (mk_rel 3) Source.Local in
-  Alcotest.(check bool) "arrival zero" true (Source.peek_arrival s = Some 0.0);
+  Alcotest.(check bool) "arrival zero" true (Source.next_arrival s = 0.0);
   Alcotest.(check int) "cardinality" 3 (Source.cardinality s);
   let rec drain n =
     match Source.next s with

@@ -1,5 +1,6 @@
 (* Symmetric joins (hash and merge modes) and the complementary join pair. *)
 
+open Adp_relation
 open Adp_exec
 open Helpers
 
@@ -61,6 +62,57 @@ let test_merge_cheaper_than_hash () =
     Clock.cpu ctx.Ctx.clock
   in
   Alcotest.(check bool) "merge charges less CPU" true (run `Merge < run `Hash)
+
+(* An [Int] key on one side joins [Float] keys on the other, including
+   ints beyond 2^53 and a -0.0 against [Int 0].  Outputs (in order) and
+   the clock must equal a nested-loop replay that charges the same
+   amounts in the same order. *)
+let test_int_float_keys () =
+  let big = 1 lsl 53 in
+  let l = List.map (fun k -> [| vi k; vi 1 |]) [ 3; 0; big; big + 1; 3; 7 ] in
+  let r =
+    List.map
+      (fun k -> [| vf k; vi 2 |])
+      [ 3.0; -0.0; Float.of_int big; 3.5; 3.0; Float.nan ]
+  in
+  let arrivals =
+    List.concat (List.map2 (fun a b -> [ `L, a; `R, b ]) l r)
+  in
+  let ctx = Ctx.create () in
+  let j = mk_sym ctx `Hash in
+  let outs =
+    List.concat_map
+      (fun (side, t) ->
+        Sym_join.insert j (if side = `L then Sym_join.L else Sym_join.R) t)
+      arrivals
+  in
+  let c = ctx.Ctx.costs in
+  let clock = ref 0.0 and seen_l = ref [] and seen_r = ref [] in
+  let want =
+    List.concat_map
+      (fun (side, t) ->
+        clock := !clock +. c.Cost_model.hash_build;
+        let others = if side = `L then !seen_r else !seen_l in
+        let matches =
+          List.filter (fun o -> Value.compare o.(0) t.(0) = 0) (List.rev others)
+        in
+        (if side = `L then seen_l := t :: !seen_l else seen_r := t :: !seen_r);
+        clock :=
+          !clock
+          +. (c.hash_probe +. 0.0
+             +. (c.per_match *. float_of_int (List.length matches)));
+        List.map
+          (fun m -> if side = `L then Tuple.concat t m else Tuple.concat m t)
+          matches)
+      arrivals
+  in
+  Alcotest.(check int) "output count" (List.length want) (List.length outs);
+  Alcotest.(check bool) "outputs in order" true
+    (List.for_all2 Tuple.equal want outs);
+  Alcotest.(check bool) "int/float keys matched" true (List.length want >= 5);
+  Alcotest.(check int64) "clock bits"
+    (Int64.bits_of_float !clock)
+    (Int64.bits_of_float (Ctx.now ctx))
 
 (* ---------------- Complementary join pair ---------------- *)
 
@@ -308,6 +360,7 @@ let suite =
       test_merge_rejects_out_of_order;
     Alcotest.test_case "merge cheaper than hash" `Quick
       test_merge_cheaper_than_hash;
+    Alcotest.test_case "int keys join float keys" `Quick test_int_float_keys;
     Alcotest.test_case "comp join: sorted → all merge" `Quick
       test_comp_sorted_all_merge;
     Alcotest.test_case "comp join: naive poisoning" `Quick
